@@ -63,17 +63,6 @@ def _add_train_flags(parser, with_out=True):
     parser.add_argument("--log-every", type=int, default=10)
 
 
-def _validate_train_flags(parser, args):
-    if args.steps < 1:
-        parser.error("--steps must be >= 1")
-    if args.batch_size < 1:
-        parser.error("--batch-size must be >= 1")
-    if args.lr < 0:
-        parser.error("--lr must be >= 0")
-    if args.log_every < 1:
-        parser.error("--log-every must be >= 1")
-
-
 def _content_paths(directory):
     from .errors import InputError
 
@@ -86,20 +75,20 @@ def _content_paths(directory):
     return [os.path.join(directory, n) for n in names]
 
 
-def _train_config(args, dataset, seed=None, norm_mode=None):
+def _train_config(args, dataset):
     from .loss import DEFAULT_EXTRACTOR_SEED
     from .training import TrainConfig
 
     return TrainConfig(
         style=args.style,
         dataset=dataset,
-        seed=args.seed if seed is None else seed,
+        seed=args.seed,
         steps=args.steps,
         batch_size=args.batch_size,
         learning_rate=args.lr,
         alpha=args.alpha,
         beta=args.beta,
-        norm_mode=args.norm if norm_mode is None else norm_mode,
+        norm_mode=args.norm,
         padding_mode=args.padding,
         base_channels=args.base_channels,
         residual_blocks=args.residual_blocks,
@@ -116,7 +105,6 @@ def _train_config(args, dataset, seed=None, norm_mode=None):
 def cmd_train(parser, args) -> int:
     from .training import serialize_report, train
 
-    _validate_train_flags(parser, args)
     config = _train_config(args, _content_paths(args.content_dir))
     generator, report = train(config)
     for i, value in enumerate(report.losses, 1):
@@ -146,17 +134,11 @@ def _stylize_tensor(generator, content, seed):
 
 
 def cmd_stylize(parser, args) -> int:
-    from .errors import InputError
     from .generator import Generator
     from .imageio import image_to_tensor, read_ppm, tensor_to_image, write_ppm
 
     generator = Generator.load(args.weights)
     img = read_ppm(args.input)
-    if img.width % 4 or img.height % 4:
-        raise InputError(
-            f"input is {img.width}x{img.height}; the two stride-2 stages "
-            "require dimensions divisible by 4"
-        )
     content = image_to_tensor(img)
     y = _stylize_tensor(generator, content, args.seed)
     write_ppm(args.output, tensor_to_image(y))
@@ -165,11 +147,12 @@ def cmd_stylize(parser, args) -> int:
 
 
 def cmd_compare_norms(parser, args) -> int:
+    from dataclasses import replace
+
     from .errors import InputError
     from .imageio import image_to_tensor, read_ppm, tensor_to_image, write_ppm
     from .training import serialize_report, train
 
-    _validate_train_flags(parser, args)
     try:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
     except ValueError:
@@ -188,13 +171,15 @@ def cmd_compare_norms(parser, args) -> int:
             "dimensions must be divisible by 4"
         )
     held_tensor = image_to_tensor(held_img)
+    # a bad flag must fail before any output exists
+    base_config = _train_config(args, train_paths)
 
     os.makedirs(args.out_dir, exist_ok=True)
     rows = []
     for seed in seeds:
         finals = {}
         for mode in ("batch", "instance"):
-            config = _train_config(args, train_paths, seed=seed, norm_mode=mode)
+            config = replace(base_config, seed=seed, norm_mode=mode)
             generator, report = train(config)
             with open(os.path.join(args.out_dir, f"seed{seed}_{mode}.log"), "w") as fh:
                 fh.write(serialize_report(report))
@@ -220,8 +205,6 @@ def cmd_compare_norms(parser, args) -> int:
 def cmd_gradcheck(parser, args) -> int:
     from .training import gradcheck
 
-    if args.h <= 0:
-        parser.error("--h must be > 0")
     report = gradcheck(args.subject, h=args.h)
     failed = False
     for name, err in report.items():

@@ -39,10 +39,9 @@ from .layers import (
 from .norms import (
     DEFAULT_EPS,
     RunningStats,
-    batch_norm_backward,
     batch_norm_forward,
-    instance_norm_backward,
     instance_norm_forward,
+    norm_backward,
 )
 from .tensor import RngStream, Tensor4, reduce, require_tensor4
 
@@ -73,38 +72,67 @@ class GeneratorConfig:
             raise InvalidArgument("noise_channels must be >= 0")
 
 
-def _he_weights(rng: RngStream, c_out: int, c_in: int, k: int) -> np.ndarray:
-    return rng.normal((c_out, c_in, k, k)) * np.sqrt(2.0 / (c_in * k * k))
+def walk_forward(units: list, h: Tensor4, mode: str, taps=()) -> tuple[Tensor4, list, dict]:
+    """Run units in order; returns (output, caches, {i: output of unit i} for i in taps)."""
+    caches, outs = [], {}
+    for i, unit in enumerate(units):
+        h, cache = unit.forward(h, mode)
+        caches.append(cache)
+        if i in taps:
+            outs[i] = h
+    return h, caches, outs
+
+
+def walk_backward(units: list, caches: list, g: Tensor4 | None, tap_grads=None):
+    """Backpropagate ``g`` through the units that produced ``caches``, last first.
+
+    ``tap_grads[i]`` joins the gradient arriving at unit ``i``'s output, so
+    ``g`` may be None when the last walked unit is a tap. Returns the input
+    gradient and the parameter gradients of every unit walked.
+    """
+    tap_grads = tap_grads or {}
+    grads = {}
+    for i in reversed(range(len(caches))):
+        if i in tap_grads:
+            g = tap_grads[i] if g is None else g + tap_grads[i]
+        g, unit_grads = units[i].backward(g, caches[i])
+        grads.update(unit_grads)
+    return g, grads
+
+
+def unit_parameters(units: list) -> dict[str, np.ndarray]:
+    out = {}
+    for unit in units:
+        out.update(unit.parameters())
+    return out
 
 
 class ConvUnit:
-    def __init__(self, name, rng, c_in, c_out, stride, padding_mode, bias=True, k=3):
+    def __init__(self, name: str, params: ConvParams):
         self.name = name
-        w = _he_weights(rng, c_out, c_in, k)
+        self.params = params
+
+    @classmethod
+    def he(cls, name, rng, c_in, c_out, stride, padding_mode, bias=True, k=3) -> "ConvUnit":
+        """He-initialized weights drawn from ``rng``; zero bias, or none."""
+        w = rng.normal((c_out, c_in, k, k)) * np.sqrt(2.0 / (c_in * k * k))
         b = np.zeros(c_out) if bias else None
-        self.params = ConvParams(w, b, stride=stride, padding_mode=padding_mode, pad=(k - 1) // 2)
+        params = ConvParams(w, b, stride=stride, padding_mode=padding_mode, pad=(k - 1) // 2)
+        return cls(name, params)
 
     def forward(self, x, mode):
         return conv2d_forward(x, self.params)
 
     def backward(self, g, cache):
         gx, gw, gb = conv2d_backward(g, cache, self.params)
-        grads = {f"{self.name}.w": gw}
-        if gb is not None:
-            grads[f"{self.name}.b"] = gb
-        return gx, grads
+        # parameters() names the weight, then the bias if there is one
+        return gx, dict(zip(self.parameters(), (gw, gb)))
 
     def parameters(self):
         out = {f"{self.name}.w": self.params.weights}
         if self.params.bias is not None:
             out[f"{self.name}.b"] = self.params.bias
         return out
-
-    def set_parameter(self, key, value):
-        if key == "w":
-            self.params.weights = value
-        else:
-            self.params.bias = value
 
 
 class NormUnit:
@@ -140,33 +168,31 @@ class NormUnit:
             grads[f"{self.name}.gamma"] = reduce(g * normalized, "TWH", "sum")
             grads[f"{self.name}.beta"] = reduce(g, "TWH", "sum")
             g = g * self.gamma
-        backward = batch_norm_backward if self.kind == "batch" else instance_norm_backward
-        return backward(g, cache), grads
+        return norm_backward(g, cache), grads
 
     def parameters(self):
         if self.affine:
             return {f"{self.name}.gamma": self.gamma, f"{self.name}.beta": self.beta}
         return {}
 
-    def set_parameter(self, key, value):
-        setattr(self, key, value)
 
-
-class ReluUnit:
+class ParameterFreeUnit:
     def __init__(self, name):
         self.name = name
 
+    def parameters(self):
+        return {}
+
+
+class ReluUnit(ParameterFreeUnit):
     def forward(self, x, mode):
         return relu_forward(x)
 
     def backward(self, g, cache):
         return relu_backward(g, cache), {}
 
-    def parameters(self):
-        return {}
 
-
-class UpsampleUnit:
+class UpsampleUnit(ParameterFreeUnit):
     def __init__(self, name, factor=2):
         self.name = name
         self.factor = factor
@@ -177,14 +203,8 @@ class UpsampleUnit:
     def backward(self, g, cache):
         return upsample_nearest_backward(g, self.factor), {}
 
-    def parameters(self):
-        return {}
 
-
-class SigmoidUnit:
-    def __init__(self, name):
-        self.name = name
-
+class SigmoidUnit(ParameterFreeUnit):
     def forward(self, x, mode):
         y = np.empty_like(x)
         pos = x >= 0
@@ -198,9 +218,6 @@ class SigmoidUnit:
             raise MissingForward("sigmoid backward called without a forward cache")
         return g * cache * (1.0 - cache), {}
 
-    def parameters(self):
-        return {}
-
 
 class ResidualBlock:
     """conv -> norm -> ReLU -> conv -> norm, plus the identity skip."""
@@ -208,36 +225,25 @@ class ResidualBlock:
     def __init__(self, name, rng, channels, padding_mode, norm_mode, eps, affine, bias):
         self.name = name
         self.units = [
-            ConvUnit(f"{name}.conv1", rng, channels, channels, 1, padding_mode, bias=bias),
+            ConvUnit.he(f"{name}.conv1", rng, channels, channels, 1, padding_mode, bias=bias),
             NormUnit(f"{name}.norm1", norm_mode, channels, eps, affine),
             ReluUnit(f"{name}.relu"),
-            ConvUnit(f"{name}.conv2", rng, channels, channels, 1, padding_mode, bias=bias),
+            ConvUnit.he(f"{name}.conv2", rng, channels, channels, 1, padding_mode, bias=bias),
             NormUnit(f"{name}.norm2", norm_mode, channels, eps, affine),
         ]
 
     def forward(self, x, mode):
-        h = x
-        caches = []
-        for unit in self.units:
-            h, cache = unit.forward(h, mode)
-            caches.append(cache)
+        h, caches, _ = walk_forward(self.units, x, mode)
         return x + h, caches
 
     def backward(self, g, caches):
         if caches is None:
             raise MissingForward(f"{self.name} backward called without a forward cache")
-        grads = {}
-        gh = g
-        for unit, cache in zip(reversed(self.units), reversed(caches)):
-            gh, unit_grads = unit.backward(gh, cache)
-            grads.update(unit_grads)
+        gh, grads = walk_backward(self.units, caches, g)
         return g + gh, grads
 
     def parameters(self):
-        out = {}
-        for unit in self.units:
-            out.update(unit.parameters())
-        return out
+        return unit_parameters(self.units)
 
 
 class Generator:
@@ -246,41 +252,19 @@ class Generator:
         self.units = units
 
     def parameters(self) -> dict[str, np.ndarray]:
-        out = {}
-        for unit in self.units:
-            out.update(unit.parameters())
-        return out
+        """Name -> parameter array, in unit order.
 
-    def set_parameters(self, params: dict[str, np.ndarray]) -> None:
-        index = {}
-        for unit in self.units:
-            owner = unit
-            if isinstance(unit, ResidualBlock):
-                for sub in unit.units:
-                    for name in sub.parameters():
-                        index[name] = sub
-                continue
-            for name in unit.parameters():
-                index[name] = owner
-        for name, value in params.items():
-            if name not in index:
-                raise ShapeMismatch(f"unknown parameter name {name!r}")
-            owner = index[name]
-            current = owner.parameters()[name]
-            if current.shape != value.shape:
-                raise ShapeMismatch(
-                    f"parameter {name!r} has shape {current.shape}, got {value.shape}"
-                )
-            owner.set_parameter(name.rsplit(".", 1)[1], value)
+        The arrays are live: they are the units' own storage, not copies, so
+        writing into one (as :func:`normkit.training.adam_step` does) changes
+        what the next forward pass computes.
+        """
+        return unit_parameters(self.units)
 
     def norm_units(self):
         for unit in self.units:
-            if isinstance(unit, NormUnit):
-                yield unit
-            elif isinstance(unit, ResidualBlock):
-                for sub in unit.units:
-                    if isinstance(sub, NormUnit):
-                        yield sub
+            for sub in unit.units if isinstance(unit, ResidualBlock) else [unit]:
+                if isinstance(sub, NormUnit):
+                    yield sub
 
     def forward(self, x: Tensor4, z: Tensor4 | None, mode: str = "train"):
         require_tensor4(x, "x")
@@ -301,24 +285,16 @@ class Generator:
                     f"noise must have shape {(x.shape[0], nz, x.shape[2], x.shape[3])}, "
                     f"got {z.shape}"
                 )
-            h = np.concatenate([x, z], axis=1)
-        else:
-            h = x
-        caches = []
-        for unit in self.units:
-            h, cache = unit.forward(h, mode)
-            caches.append(cache)
+        # no local name for the joined input, so the walk frees it after the stem conv
+        h, caches, _ = walk_forward(
+            self.units, np.concatenate([x, z], axis=1) if nz > 0 else x, mode
+        )
         return h, caches
 
     def backward(self, grad_out: Tensor4, caches: list) -> dict[str, np.ndarray]:
         if caches is None or len(caches) != len(self.units):
             raise MissingForward("generator backward needs the caches from forward")
-        grads = {}
-        g = grad_out
-        for unit, cache in zip(reversed(self.units), reversed(caches)):
-            g, unit_grads = unit.backward(g, cache)
-            grads.update(unit_grads)
-        return grads
+        return walk_backward(self.units, caches, grad_out)[1]
 
     # -- persistence ------------------------------------------------------
 
@@ -363,20 +339,22 @@ class Generator:
         except KeyError as exc:
             raise FormatError(f"weight file is not a generator: missing {exc}")
         g = build(config, RngStream(0))
-        params = {}
-        for name, current in g.parameters().items():
+        # the fresh generator's own entries say which arrays the file must
+        # carry; each is the unit's live storage (a bias as a reshaped view),
+        # so copying into it loads the value. Only the counts are copies.
+        for name, live in g.to_entries().items():
+            if name.startswith("meta."):
+                continue
             if name not in entries:
-                raise FormatError(f"weight file missing parameter {name!r}")
-            value = entries[name]
-            params[name] = value if current.ndim == 4 else value.reshape(current.shape)
-        g.set_parameters(params)
+                raise FormatError(f"weight file missing entry {name!r}")
+            if entries[name].shape != live.shape:
+                raise FormatError(
+                    f"entry {name!r} has shape {entries[name].shape}, expected {live.shape}"
+                )
+            live[...] = entries[name]
         for unit in g.norm_units():
             if unit.running is not None:
-                unit.running.running_mu = entries[f"{unit.name}.running_mu"]
-                unit.running.running_var = entries[f"{unit.name}.running_var"]
-                unit.running.sample_count = int(
-                    weightfile.entry_scalar(entries, f"{unit.name}.count")
-                )
+                unit.running.sample_count = int(entries[f"{unit.name}.count"].ravel()[0])
         return g
 
     def save(self, path: str) -> None:
@@ -408,26 +386,26 @@ def build(config: GeneratorConfig, rng: RngStream) -> Generator:
         return NormUnit(name, norm, channels, cfg.eps, cfg.affine)
 
     units = [
-        ConvUnit("stem_conv", rng, in_ch, c1, 1, padm, bias=bias),
+        ConvUnit.he("stem_conv", rng, in_ch, c1, 1, padm, bias=bias),
         norm_unit("down1_norm", c1),
         ReluUnit("down1_relu"),
-        ConvUnit("down1_conv", rng, c1, c2, 2, padm, bias=bias),
+        ConvUnit.he("down1_conv", rng, c1, c2, 2, padm, bias=bias),
         norm_unit("down2_norm", c2),
         ReluUnit("down2_relu"),
-        ConvUnit("down2_conv", rng, c2, c3, 2, padm, bias=bias),
+        ConvUnit.he("down2_conv", rng, c2, c3, 2, padm, bias=bias),
     ]
     for i in range(cfg.residual_blocks):
         units.append(ResidualBlock(f"res{i}", rng, c3, padm, norm, cfg.eps, cfg.affine, bias))
     units += [
         UpsampleUnit("up1_upsample"),
-        ConvUnit("up1_conv", rng, c3, c2, 1, padm, bias=bias),
+        ConvUnit.he("up1_conv", rng, c3, c2, 1, padm, bias=bias),
         norm_unit("up1_norm", c2),
         ReluUnit("up1_relu"),
         UpsampleUnit("up2_upsample"),
-        ConvUnit("up2_conv", rng, c2, c1, 1, padm, bias=bias),
+        ConvUnit.he("up2_conv", rng, c2, c1, 1, padm, bias=bias),
         norm_unit("up2_norm", c1),
         ReluUnit("up2_relu"),
-        ConvUnit("head_conv", rng, c1, 3, 1, padm, bias=True),
+        ConvUnit.he("head_conv", rng, c1, 3, 1, padm, bias=True),
         SigmoidUnit("output_sigmoid"),
     ]
     return Generator(config=cfg, units=units)

@@ -26,7 +26,8 @@ import numpy as np
 
 from . import weights as weightfile
 from .errors import FormatError, InvalidShape, MissingForward, ShapeMismatch
-from .layers import ConvParams, conv2d_backward, conv2d_forward, relu_backward, relu_forward
+from .generator import ConvUnit, ReluUnit, walk_backward, walk_forward
+from .layers import ConvParams
 from .tensor import RngStream, Tensor4, require_tensor4
 
 DEFAULT_EXTRACTOR_SEED = 1001
@@ -40,21 +41,22 @@ DEFAULT_BETA = 10.0
 MIN_INPUT_SIDE = 8
 
 
-def he_std(c_in: int, kernel: int) -> float:
-    return float(np.sqrt(2.0 / (c_in * kernel * kernel)))
-
-
 @dataclass
 class FeatureExtractor:
-    """Frozen conv -> ReLU stack with named tap points (1-indexed blocks)."""
+    """Frozen conv -> ReLU stack with named tap points (1-indexed blocks).
 
-    blocks: list[ConvParams]
+    ``units`` alternates conv and ReLU units; a tap is the output of its
+    block's ReLU. Blocks past the deepest tap are kept (and saved) but never
+    run, since no loss term depends on them.
+    """
+
+    units: list
     style_taps: tuple[int, ...] = DEFAULT_STYLE_TAPS
     content_tap: int = DEFAULT_CONTENT_TAP
 
     def __post_init__(self):
         last = max(self.style_taps + (self.content_tap,))
-        if last > len(self.blocks) or min(self.style_taps) < 1 or self.content_tap < 1:
+        if last > len(self.convs) or min(self.style_taps) < 1 or self.content_tap < 1:
             raise InvalidShape("tap indices must address existing blocks")
 
     @classmethod
@@ -67,36 +69,65 @@ class FeatureExtractor:
     ) -> "FeatureExtractor":
         """Build the frozen random extractor; identical seed, identical filters."""
         rng = RngStream(seed)
-        blocks = []
-        for c_in, c_out, stride in zip(channels[:-1], channels[1:], strides):
-            w = rng.normal((c_out, c_in, kernel, kernel)) * he_std(c_in, kernel)
-            blocks.append(
-                ConvParams(w, None, stride=stride, padding_mode="reflect", pad=(kernel - 1) // 2)
-            )
-        return cls(blocks=blocks)
+        units = []
+        for i, (c_in, c_out, stride) in enumerate(zip(channels[:-1], channels[1:], strides), 1):
+            conv = ConvUnit.he(f"phi{i}_conv", rng, c_in, c_out, stride, "reflect",
+                               bias=False, k=kernel)
+            units += [conv, ReluUnit(f"phi{i}_relu")]
+        return cls(units=units)
+
+    @property
+    def convs(self) -> list[ConvUnit]:
+        return self.units[::2]
 
     @property
     def taps(self) -> tuple[int, ...]:
         return tuple(sorted(set(self.style_taps) | {self.content_tap}))
 
+    @property
+    def tap_units(self) -> dict[int, int]:
+        """{tap: index of its block's ReLU unit}; block b is units[2b-2 : 2b]."""
+        return {tap: 2 * tap - 1 for tap in self.taps}
+
+    def forward(self, x: Tensor4) -> tuple[dict[int, Tensor4], list]:
+        """Run the stack up to its deepest tap; returns {tap: feature map} plus caches."""
+        require_tensor4(x, "x")
+        c_in = self.convs[0].params.weights.shape[1]
+        if x.shape[1] != c_in:
+            raise InvalidShape(f"input has {x.shape[1]} channels, extractor expects {c_in}")
+        if x.shape[2] < MIN_INPUT_SIDE or x.shape[3] < MIN_INPUT_SIDE:
+            raise InvalidShape(
+                f"input spatial dims must be >= {MIN_INPUT_SIDE}, got {x.shape[2]}x{x.shape[3]}"
+            )
+        at = self.tap_units
+        _, caches, outs = walk_forward(self.units[: max(at.values()) + 1], x, "train", at.values())
+        return {tap: outs[i] for tap, i in at.items()}, caches
+
+    def backward(self, caches: list, tap_grads: dict[int, Tensor4]) -> Tensor4:
+        """Backpropagate {tap: gradient} through the stack to the input."""
+        at = self.tap_units
+        if caches is None or len(caches) != max(at.values()) + 1:
+            raise MissingForward("extractor backward needs the caches from its forward")
+        return walk_backward(self.units, caches, None, {at[t]: g for t, g in tap_grads.items()})[0]
+
     def to_entries(self) -> dict[str, np.ndarray]:
         entries = {
             "meta.kind": weightfile.scalar_entry(2.0),  # 2 = feature extractor
-            "meta.blocks": weightfile.scalar_entry(len(self.blocks)),
+            "meta.blocks": weightfile.scalar_entry(len(self.convs)),
             "meta.content_tap": weightfile.scalar_entry(self.content_tap),
         }
         entries["meta.style_taps"] = np.array(self.style_taps, dtype=np.float64).reshape(
             1, 1, 1, len(self.style_taps)
         )
-        for i, blk in enumerate(self.blocks, start=1):
-            entries[f"block{i}.w"] = blk.weights
-            entries[f"block{i}.stride"] = weightfile.scalar_entry(blk.stride)
+        for i, conv in enumerate(self.convs, start=1):
+            entries[f"block{i}.w"] = conv.params.weights
+            entries[f"block{i}.stride"] = weightfile.scalar_entry(conv.params.stride)
         return entries
 
     @classmethod
     def from_entries(cls, entries: dict[str, np.ndarray]) -> "FeatureExtractor":
         n = int(weightfile.entry_scalar(entries, "meta.blocks"))
-        blocks = []
+        units = []
         for i in range(1, n + 1):
             try:
                 w = entries[f"block{i}.w"]
@@ -104,12 +135,11 @@ class FeatureExtractor:
                 raise FormatError(f"missing extractor entry block{i}.w")
             stride = int(weightfile.entry_scalar(entries, f"block{i}.stride"))
             k = w.shape[2]
-            blocks.append(
-                ConvParams(w, None, stride=stride, padding_mode="reflect", pad=(k - 1) // 2)
-            )
+            params = ConvParams(w, None, stride=stride, padding_mode="reflect", pad=(k - 1) // 2)
+            units += [ConvUnit(f"phi{i}_conv", params), ReluUnit(f"phi{i}_relu")]
         style_taps = tuple(int(v) for v in entries["meta.style_taps"].ravel())
         content_tap = int(weightfile.entry_scalar(entries, "meta.content_tap"))
-        return cls(blocks=blocks, style_taps=style_taps, content_tap=content_tap)
+        return cls(units=units, style_taps=style_taps, content_tap=content_tap)
 
     def save(self, path: str) -> None:
         weightfile.save_entries(path, self.to_entries())
@@ -117,50 +147,6 @@ class FeatureExtractor:
     @classmethod
     def load(cls, path: str) -> "FeatureExtractor":
         return cls.from_entries(weightfile.load_entries(path))
-
-
-def extract_features(
-    phi: FeatureExtractor, x: Tensor4
-) -> tuple[dict[int, Tensor4], list]:
-    """Run the frozen stack; returns {tap index: feature map} plus caches."""
-    require_tensor4(x, "x")
-    if x.shape[1] != phi.blocks[0].weights.shape[1]:
-        raise InvalidShape(
-            f"input has {x.shape[1]} channels, extractor expects {phi.blocks[0].weights.shape[1]}"
-        )
-    if x.shape[2] < MIN_INPUT_SIDE or x.shape[3] < MIN_INPUT_SIDE:
-        raise InvalidShape(
-            f"input spatial dims must be >= {MIN_INPUT_SIDE}, got {x.shape[2]}x{x.shape[3]}"
-        )
-    feats: dict[int, Tensor4] = {}
-    caches = []
-    h = x
-    for i, blk in enumerate(phi.blocks, start=1):
-        h, conv_cache = conv2d_forward(h, blk)
-        h, relu_cache = relu_forward(h)
-        caches.append((conv_cache, relu_cache))
-        if i in phi.taps:
-            feats[i] = h
-    return feats, caches
-
-
-def features_backward(
-    phi: FeatureExtractor, caches: list, tap_grads: dict[int, Tensor4]
-) -> Tensor4:
-    """Backpropagate tap gradients through the frozen stack to the input."""
-    if not caches or len(caches) != len(phi.blocks):
-        raise MissingForward("features_backward needs the caches from extract_features")
-    grad = None
-    for i in range(len(phi.blocks), 0, -1):
-        conv_cache, relu_cache = caches[i - 1]
-        g_tap = tap_grads.get(i)
-        if grad is None:
-            grad = np.zeros(relu_cache.x.shape) if g_tap is None else g_tap
-        elif g_tap is not None:
-            grad = grad + g_tap
-        grad = relu_backward(grad, relu_cache)
-        grad, _, _ = conv2d_backward(grad, conv_cache, phi.blocks[i - 1])
-    return grad
 
 
 def gram(feature_map: Tensor4) -> np.ndarray:
@@ -213,7 +199,7 @@ class StyleTarget:
         require_tensor4(style, "style")
         if style.shape[0] != 1:
             raise InvalidShape("style image must be a single instance")
-        feats, _ = extract_features(phi, style)
+        feats, _ = phi.forward(style)
         targets = {tap: gram(feats[tap]) for tap in phi.style_taps}
         return cls(gram_targets=targets, alpha=alpha, beta=beta)
 
@@ -238,10 +224,9 @@ def total_loss(
             raise ShapeMismatch(
                 f"content shape {content.shape} != output shape {output.shape}"
             )
-        feats_c, _ = extract_features(phi, content)
-        content_feats = feats_c[phi.content_tap]
+        content_feats = phi.forward(content)[0][phi.content_tap]
 
-    feats_out, caches = extract_features(phi, output)
+    feats_out, caches = phi.forward(output)
     t_count = output.shape[0]
     tap_grads: dict[int, Tensor4] = {}
 
@@ -268,5 +253,5 @@ def total_loss(
         tap_grads[tap] = tap_grads.get(tap, 0.0) + g_tap
 
     loss = target.alpha * content_term + target.beta * style_term
-    grad = features_backward(phi, caches, tap_grads)
+    grad = phi.backward(caches, tap_grads)
     return loss, grad

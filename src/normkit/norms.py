@@ -28,25 +28,6 @@ DEFAULT_MOMENTUM = 0.1
 
 
 @dataclass
-class NormStats:
-    """Per-group mean/variance used by one forward pass.
-
-    ``mu`` and ``var`` are (1, C, 1, 1) for batch norm and (T, C, 1, 1)
-    for instance norm, broadcastable against the input.
-    """
-
-    mu: np.ndarray
-    var: np.ndarray
-    eps: float
-
-    def __post_init__(self):
-        if np.any(self.var < 0):
-            raise InvalidArgument("variance must be nonnegative")
-        if self.eps < 0:
-            raise InvalidArgument("eps must be nonnegative")
-
-
-@dataclass
 class RunningStats:
     """Exponential moving averages of batch-norm statistics.
 
@@ -72,9 +53,15 @@ class RunningStats:
 
 @dataclass
 class NormCache:
-    """Forward residue consumed by the backward pass."""
+    """Forward residue consumed by the backward pass.
 
-    stats: NormStats
+    ``mu`` and ``var`` are the per-group mean/variance the forward pass
+    used: (1, C, 1, 1) for batch norm and (T, C, 1, 1) for instance norm,
+    broadcastable against the input.
+    """
+
+    mu: np.ndarray
+    var: np.ndarray
     normalized: np.ndarray
     inv_std: np.ndarray
     mode: str
@@ -127,27 +114,22 @@ def batch_norm_forward(
         raise InvalidArgument(f"eps must be >= 0, got {eps}")
     if mode not in ("train", "eval"):
         raise InvalidArgument(f"mode must be 'train' or 'eval', got {mode!r}")
+    if mode == "eval" and (rs is None or rs.sample_count < 1):
+        raise NotCalibrated("eval-mode batch norm requires trained running stats")
+    if rs is not None and rs.running_mu.shape[1] != x.shape[1]:
+        raise ShapeMismatch(
+            f"running stats track {rs.running_mu.shape[1]} channels, input has {x.shape[1]}"
+        )
     if mode == "eval":
-        if rs is None or rs.sample_count < 1:
-            raise NotCalibrated("eval-mode batch norm requires trained running stats")
-        if rs.running_mu.shape[1] != x.shape[1]:
-            raise ShapeMismatch(
-                f"running stats track {rs.running_mu.shape[1]} channels, input has {x.shape[1]}"
-            )
         y, mu, var, inv_std = _norm_forward(x, eps, "TWH", rs.running_mu, rs.running_var)
     else:
         y, mu, var, inv_std = _norm_forward(x, eps, "TWH")
         if rs is not None:
-            if rs.running_mu.shape[1] != x.shape[1]:
-                raise ShapeMismatch(
-                    f"running stats track {rs.running_mu.shape[1]} channels, input has {x.shape[1]}"
-                )
             m = rs.momentum
             rs.running_mu = (1.0 - m) * rs.running_mu + m * mu
             rs.running_var = (1.0 - m) * rs.running_var + m * var
             rs.sample_count += 1
-    stats = NormStats(mu=mu, var=var, eps=eps)
-    return y, NormCache(stats=stats, normalized=y, inv_std=inv_std, mode=mode, group_axes="TWH")
+    return y, NormCache(mu, var, normalized=y, inv_std=inv_std, mode=mode, group_axes="TWH")
 
 
 def instance_norm_forward(x: Tensor4, eps: float = DEFAULT_EPS) -> tuple[Tensor4, NormCache]:
@@ -160,11 +142,15 @@ def instance_norm_forward(x: Tensor4, eps: float = DEFAULT_EPS) -> tuple[Tensor4
     if eps < 0:
         raise InvalidArgument(f"eps must be >= 0, got {eps}")
     y, mu, var, inv_std = _norm_forward(x, eps, "WH")
-    stats = NormStats(mu=mu, var=var, eps=eps)
-    return y, NormCache(stats=stats, normalized=y, inv_std=inv_std, mode="train", group_axes="WH")
+    return y, NormCache(mu, var, normalized=y, inv_std=inv_std, mode="train", group_axes="WH")
 
 
-def _norm_backward(grad_out, cache):
+def norm_backward(grad_out: Tensor4, cache: NormCache) -> Tensor4:
+    """Gradient of batch or instance norm w.r.t. its input.
+
+    Train mode differentiates through the group mean and variance; eval-mode
+    batch norm treats its running statistics as constants.
+    """
     if not isinstance(cache, NormCache):
         raise MissingForward("norm backward called without a forward cache")
     if grad_out.shape != cache.normalized.shape:
@@ -179,13 +165,3 @@ def _norm_backward(grad_out, cache):
     g_mean = reduce(grad_out, axes, "mean")
     gy_mean = reduce(grad_out * y, axes, "mean")
     return cache.inv_std * (grad_out - g_mean - y * gy_mean)
-
-
-def batch_norm_backward(grad_out: Tensor4, cache: NormCache) -> Tensor4:
-    """Gradient of train-mode batch norm through mu and var (eval: constants)."""
-    return _norm_backward(grad_out, cache)
-
-
-def instance_norm_backward(grad_out: Tensor4, cache: NormCache) -> Tensor4:
-    """Gradient of instance norm through the per-plane mu and var."""
-    return _norm_backward(grad_out, cache)

@@ -24,7 +24,6 @@ from .loss import (
     DEFAULT_EXTRACTOR_SEED,
     FeatureExtractor,
     StyleTarget,
-    extract_features,
     total_loss,
 )
 from .norms import DEFAULT_EPS
@@ -72,15 +71,8 @@ class TrainConfig:
             raise InvalidArgument("dataset must name at least one content image")
 
     def generator_config(self) -> GeneratorConfig:
-        return GeneratorConfig(
-            norm_mode=self.norm_mode,
-            padding_mode=self.padding_mode,
-            base_channels=self.base_channels,
-            residual_blocks=self.residual_blocks,
-            noise_channels=self.noise_channels,
-            eps=self.eps,
-            affine=self.affine,
-        )
+        # every GeneratorConfig field has a TrainConfig field of the same name
+        return GeneratorConfig(**{f.name: getattr(self, f.name) for f in fields(GeneratorConfig)})
 
 
 @dataclass
@@ -104,13 +96,16 @@ def adam_step(
     lr: float,
     betas: tuple[float, float] = (0.9, 0.999),
     eps: float = 1e-8,
-) -> tuple[dict[str, np.ndarray], AdamState]:
-    """One bias-corrected Adam update; returns fresh parameter arrays."""
+) -> None:
+    """One bias-corrected Adam update, applied in place to ``params`` and ``state``.
+
+    Each parameter array is overwritten, so arrays obtained from
+    :meth:`Generator.parameters` update the generator directly.
+    """
     if params.keys() != grads.keys() or params.keys() != state.m.keys():
         raise ShapeMismatch("parameter, gradient, and state names must align")
     b1, b2 = betas
     t = state.step + 1
-    out = {}
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
@@ -119,11 +114,10 @@ def adam_step(
         v = b2 * state.v[name] + (1.0 - b2) * (g * g)
         m_hat = m / (1.0 - b1**t)
         v_hat = v / (1.0 - b2**t)
-        out[name] = p - lr * m_hat / (np.sqrt(v_hat) + eps)
+        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
         state.m[name] = m
         state.v[name] = v
     state.step = t
-    return out, state
 
 
 @dataclass
@@ -212,7 +206,7 @@ def train(config: TrainConfig) -> tuple[Generator, RunReport]:
             )
         images.append(img)
     # content-tap features are constant per image; compute them once
-    content_feats = [extract_features(phi, img)[0][phi.content_tap] for img in images]
+    content_feats = [phi.forward(img)[0][phi.content_tap] for img in images]
 
     g = build(config.generator_config(), RngStream(config.seed, STREAM_INIT))
     params = g.parameters()
@@ -235,11 +229,10 @@ def train(config: TrainConfig) -> tuple[Generator, RunReport]:
         report.losses.append(loss)
 
         grads = g.backward(grad_y, caches)
-        params, state = adam_step(
+        adam_step(
             params, grads, state, config.learning_rate,
             betas=(config.beta1, config.beta2), eps=config.adam_eps,
         )
-        g.set_parameters(params)
 
     report.wall_time = time.perf_counter() - started
     report.param_checksum = parameter_checksum(g.parameters())
@@ -248,44 +241,33 @@ def train(config: TrainConfig) -> tuple[Generator, RunReport]:
 
 # -- gradient checking ------------------------------------------------------
 
-SUBJECTS = (
-    "conv_zero",
-    "conv_reflect",
-    "relu",
-    "upsample",
-    "batch_norm",
-    "instance_norm",
-    "generator",
-)
+def _max_rel_err(f, probes, h):
+    """Worst relative error of analytic gradients against central differences.
 
-
-def _central_diff(f, arr, idx, h):
-    orig = arr[idx]
-    arr[idx] = orig + h
-    fp = f()
-    arr[idx] = orig - h
-    fm = f()
-    arr[idx] = orig
-    return (fp - fm) / (2.0 * h)
-
-
-def _rel_err(analytic, numeric):
-    return abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
-
-
-def _check_arrays(f, pairs, h):
-    """pairs: (array, analytic gradient); returns max relative error."""
+    ``probes`` yields (array, index, analytic d f / d array[index]); each
+    element is perturbed in place and restored exactly.
+    """
     worst = 0.0
-    for arr, grad in pairs:
-        it = np.nditer(arr, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            numeric = _central_diff(f, arr, idx, h)
-            worst = max(worst, _rel_err(grad[idx], numeric))
+    for arr, idx, analytic in probes:
+        orig = arr[idx]
+        arr[idx] = orig + h
+        fp = f()
+        arr[idx] = orig - h
+        fm = f()
+        arr[idx] = orig
+        numeric = (fp - fm) / (2.0 * h)
+        worst = max(worst, abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8))
     return worst
 
 
-def _check_conv(padding_mode, h):
+def _every_index(pairs):
+    """Probe every element of each (array, analytic gradient) pair."""
+    for arr, grad in pairs:
+        for idx in np.ndindex(arr.shape):
+            yield arr, idx, grad[idx]
+
+
+def _check_conv(padding_mode):
     from .layers import ConvParams, conv2d_backward, conv2d_forward
 
     rng = RngStream(7)
@@ -301,10 +283,10 @@ def _check_conv(padding_mode, h):
 
     y, cache = conv2d_forward(x, p)
     gx, gw, gb = conv2d_backward(y, cache, p)
-    return _check_arrays(f, [(x, gx), (p.weights, gw), (p.bias, gb)], h)
+    return f, _every_index([(x, gx), (p.weights, gw), (p.bias, gb)])
 
 
-def _check_relu(h):
+def _check_relu():
     from .layers import relu_backward, relu_forward
 
     x = RngStream(8).normal((1, 2, 4, 4))
@@ -316,10 +298,10 @@ def _check_relu(h):
 
     y, cache = relu_forward(x)
     gx = relu_backward(y, cache)
-    return _check_arrays(f, [(x, gx)], h)
+    return f, _every_index([(x, gx)])
 
 
-def _check_upsample(h):
+def _check_upsample():
     from .layers import upsample_nearest_backward, upsample_nearest_forward
 
     x = RngStream(9).normal((1, 2, 3, 3))
@@ -330,19 +312,14 @@ def _check_upsample(h):
 
     y = upsample_nearest_forward(x, 2)
     gx = upsample_nearest_backward(y, 2)
-    return _check_arrays(f, [(x, gx)], h)
+    return f, _every_index([(x, gx)])
 
 
-def _check_norm(kind, h):
+def _check_norm(kind):
     # a random linear probe: the quadratic loss is degenerate through a
     # normalizer (output norm is nearly fixed), leaving only eps-scale
     # gradients that finite differences cannot resolve
-    from .norms import (
-        batch_norm_backward,
-        batch_norm_forward,
-        instance_norm_backward,
-        instance_norm_forward,
-    )
+    from .norms import batch_norm_forward, instance_norm_forward, norm_backward
 
     x = RngStream(10).normal((2, 2, 3, 3))
     probe = RngStream(11).normal((2, 2, 3, 3))
@@ -357,12 +334,11 @@ def _check_norm(kind, h):
         return float((y * probe).sum())
 
     _, cache = forward()
-    backward = batch_norm_backward if kind == "batch" else instance_norm_backward
-    gx = backward(probe, cache)
-    return _check_arrays(f, [(x, gx)], h)
+    gx = norm_backward(probe, cache)
+    return f, _every_index([(x, gx)])
 
 
-def _check_generator(h, sample_count=20):
+def _check_generator(sample_count=20):
     content = RngStream(12).uniform((1, 3, 8, 8))
     style = RngStream(13).uniform((1, 3, 8, 8))
     z = RngStream(14).normal((1, 1, 8, 8))
@@ -381,14 +357,27 @@ def _check_generator(h, sample_count=20):
     params = g.parameters()
     names = sorted(params)
     picker = RngStream(16)
-    worst = 0.0
-    for _ in range(sample_count):
-        name = names[picker.integers(0, len(names))]
-        arr = params[name]
-        idx = np.unravel_index(picker.integers(0, arr.size), arr.shape)
-        numeric = _central_diff(f, arr, idx, h)
-        worst = max(worst, _rel_err(grads[name][idx], numeric))
-    return worst
+
+    def sampled():
+        for _ in range(sample_count):
+            name = names[picker.integers(0, len(names))]
+            arr = params[name]
+            idx = np.unravel_index(picker.integers(0, arr.size), arr.shape)
+            yield arr, idx, grads[name][idx]
+
+    return f, sampled()
+
+
+_CHECKS = {
+    "conv_zero": lambda: _check_conv("zero"),
+    "conv_reflect": lambda: _check_conv("reflect"),
+    "relu": _check_relu,
+    "upsample": _check_upsample,
+    "batch_norm": lambda: _check_norm("batch"),
+    "instance_norm": lambda: _check_norm("instance"),
+    "generator": _check_generator,
+}
+SUBJECTS = tuple(_CHECKS)
 
 
 def gradcheck(subject: str = "all", h: float = 1e-5) -> dict[str, float]:
@@ -403,13 +392,4 @@ def gradcheck(subject: str = "all", h: float = 1e-5) -> dict[str, float]:
     if subject != "all" and subject not in SUBJECTS:
         raise InvalidArgument(f"unknown subject {subject!r}; choose from {SUBJECTS} or 'all'")
     chosen = SUBJECTS if subject == "all" else (subject,)
-    checks = {
-        "conv_zero": lambda: _check_conv("zero", h),
-        "conv_reflect": lambda: _check_conv("reflect", h),
-        "relu": lambda: _check_relu(h),
-        "upsample": lambda: _check_upsample(h),
-        "batch_norm": lambda: _check_norm("batch", h),
-        "instance_norm": lambda: _check_norm("instance", h),
-        "generator": lambda: _check_generator(h),
-    }
-    return {name: checks[name]() for name in chosen}
+    return {name: _max_rel_err(*_CHECKS[name](), h) for name in chosen}

@@ -75,7 +75,7 @@ def test_criterion_2_normalization_identities():
     for seed, scale in [(1, 1.0), (2, 1.0), (3, 0.11), (4, 2.0)]:
         x = scale * sample_gaussian(RngStream(2000 + seed), (2, 3, 8, 8))
         y, cache = instance_norm_forward(x, eps=1e-5)
-        eligible = cache.stats.var.reshape(2, 3) >= 1e-2
+        eligible = cache.var.reshape(2, 3) >= 1e-2
         floored_planes += int(eligible.sum())
         means = np.abs(y.mean(axis=(2, 3)))[eligible]
         variances = y.var(axis=(2, 3))[eligible]

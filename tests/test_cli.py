@@ -188,6 +188,33 @@ class TestStylizeCommand:
                        "--output", str(tmp_path / "x.ppm"))
         assert code == 3
 
+    @pytest.mark.parametrize("name,value", [
+        ("head_conv.b", np.zeros((1, 5, 1, 1))),  # bias of the wrong size
+        ("stem_conv.w", np.zeros((4, 5, 3, 3))),  # weight of the wrong shape
+        ("down1_norm.running_mu", None),  # batch-norm statistic missing
+    ])
+    def test_malformed_weight_entry_exit_3(self, dataset, tmp_path, capsys, name, value):
+        from normkit.generator import GeneratorConfig, build
+        from normkit.tensor import RngStream
+        from normkit.weights import save_entries
+
+        _, paths, _ = dataset
+        g = build(GeneratorConfig(norm_mode="batch", base_channels=4, residual_blocks=1),
+                  RngStream(1))
+        g.forward(RngStream(2).uniform((2, 3, 8, 8)), RngStream(3).normal((2, 1, 8, 8)))
+        entries = g.to_entries()
+        if value is None:
+            del entries[name]
+        else:
+            entries[name] = value
+        out = str(tmp_path / "bad.nrmk")
+        save_entries(out, entries)
+        code = run_cli("stylize", "--weights", out, "--input", paths[0],
+                       "--output", str(tmp_path / "x.ppm"))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(name) in err
+
 
 class TestCompareNormsCommand:
     def test_writes_traces_summary_and_pair(self, dataset, tmp_path):
@@ -220,6 +247,14 @@ class TestCompareNormsCommand:
                 for f in sorted(os.listdir(out_dir))
             })
         assert blobs[0] == blobs[1]
+
+    def test_bad_flag_exits_2_before_writing(self, dataset, tmp_path):
+        directory, _, style = dataset
+        out_dir = tmp_path / "cmp"
+        code = run_cli("compare-norms", "--style", style, "--content-dir", directory,
+                       "--out-dir", str(out_dir), "--seeds", "1", "--steps", "0")
+        assert code == 2
+        assert not out_dir.exists()
 
     def test_single_content_image_rejected(self, dataset, tmp_path):
         _, paths, style = dataset

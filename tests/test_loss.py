@@ -3,14 +3,7 @@ import pytest
 from helpers import fd_grad, max_rel_err
 
 from normkit.errors import InvalidShape, ShapeMismatch
-from normkit.loss import (
-    FeatureExtractor,
-    StyleTarget,
-    extract_features,
-    features_backward,
-    gram,
-    total_loss,
-)
+from normkit.loss import FeatureExtractor, StyleTarget, gram, total_loss
 from normkit.tensor import RngStream, new_tensor, sample_gaussian
 
 
@@ -31,30 +24,30 @@ def smooth_image(seed, size=32):
 class TestExtractor:
     def test_deterministic_given_seed(self, phi):
         x = smooth_image(1)
-        f1, _ = extract_features(phi, x)
-        f2, _ = extract_features(FeatureExtractor.seeded(seed=1001), x)
+        f1, _ = phi.forward(x)
+        f2, _ = FeatureExtractor.seeded(seed=1001).forward(x)
         for tap in phi.taps:
             assert np.array_equal(f1[tap], f2[tap])
 
     def test_zero_input_zero_features(self, phi):
-        feats, _ = extract_features(phi, new_tensor((1, 3, 16, 16), 0.0))
+        feats, _ = phi.forward(new_tensor((1, 3, 16, 16), 0.0))
         for tap in phi.taps:
             assert not feats[tap].any()
 
     def test_default_tap_shapes(self, phi):
         x = sample_gaussian(RngStream(2), (1, 3, 32, 32))
-        feats, _ = extract_features(phi, x)
+        feats, _ = phi.forward(x)
         assert feats[1].shape == (1, 8, 16, 16)
         assert feats[2].shape == (1, 16, 8, 8)
         assert feats[3].shape == (1, 16, 8, 8)
 
     def test_too_small_input_rejected(self, phi):
         with pytest.raises(InvalidShape):
-            extract_features(phi, new_tensor((1, 3, 4, 4), 0.5))
+            phi.forward(new_tensor((1, 3, 4, 4), 0.5))
 
     def test_wrong_channel_count_rejected(self, phi):
         with pytest.raises(InvalidShape):
-            extract_features(phi, new_tensor((1, 1, 16, 16), 0.5))
+            phi.forward(new_tensor((1, 1, 16, 16), 0.5))
 
     def test_entries_round_trip(self, phi, tmp_path):
         path = str(tmp_path / "phi.nrmk")
@@ -63,8 +56,8 @@ class TestExtractor:
         assert clone.style_taps == phi.style_taps
         assert clone.content_tap == phi.content_tap
         x = smooth_image(3)
-        f1, _ = extract_features(phi, x)
-        f2, _ = extract_features(clone, x)
+        f1, _ = phi.forward(x)
+        f2, _ = clone.forward(x)
         for tap in phi.taps:
             assert np.array_equal(f1[tap], f2[tap])
 
@@ -165,14 +158,30 @@ class TestFeaturesBackward:
     def test_matches_finite_differences_per_tap(self, phi):
         x = smooth_image(30, 16)
         probes = {}
-        feats, caches = extract_features(phi, x)
+        feats, caches = phi.forward(x)
         rng = RngStream(31)
         for tap in phi.taps:
             probes[tap] = rng.normal(feats[tap].shape)
 
         def f():
-            fs, _ = extract_features(phi, x)
+            fs, _ = phi.forward(x)
             return float(sum((fs[tap] * probes[tap]).sum() for tap in phi.taps))
 
-        grad = features_backward(phi, caches, probes)
+        grad = phi.backward(caches, probes)
         assert max_rel_err(grad, fd_grad(f, x)) < 1e-6
+
+    def test_blocks_past_deepest_tap_are_not_run(self, phi):
+        # block 4 feeds no tap; poisoning it must change neither the loss
+        # nor its gradient, and the saved file must still carry the block
+        entries = phi.to_entries()
+        assert max(phi.taps) < int(entries["meta.blocks"].ravel()[0])
+        entries["block4.w"] = np.full_like(entries["block4.w"], np.nan)
+        poisoned = FeatureExtractor.from_entries(entries)
+        assert np.isnan(poisoned.to_entries()["block4.w"]).all()
+        style, content, output = smooth_image(32, 16), smooth_image(33, 16), smooth_image(34, 16)
+        target = StyleTarget.from_style_image(phi, style)
+        loss, grad = total_loss(target, phi, content, output)
+        loss_p, grad_p = total_loss(target, poisoned, content, output)
+        assert np.isfinite(loss_p) and np.isfinite(grad_p).all()
+        assert loss_p == loss
+        assert np.array_equal(grad_p, grad)

@@ -43,20 +43,21 @@ class TestAdam:
 
     def test_zero_grad_leaves_params(self):
         params = self.params()
+        before = {k: v.copy() for k, v in params.items()}
         grads = {k: np.zeros_like(v) for k, v in params.items()}
         state = AdamState.for_params(params)
-        out, state = adam_step(params, grads, state, lr=1e-3)
+        adam_step(params, grads, state, lr=1e-3)
         for k in params:
-            assert np.array_equal(out[k], params[k])
+            assert np.array_equal(params[k], before[k])
 
     def test_moments_decay_toward_zero_on_zero_grad(self):
         params = self.params()
         grads = {k: np.ones_like(v) for k, v in params.items()}
         state = AdamState.for_params(params)
-        out, state = adam_step(params, grads, state, lr=1e-3)
+        adam_step(params, grads, state, lr=1e-3)
         m_before = {k: v.copy() for k, v in state.m.items()}
         zero = {k: np.zeros_like(v) for k, v in params.items()}
-        out, state = adam_step(out, zero, state, lr=1e-3)
+        adam_step(params, zero, state, lr=1e-3)
         for k in params:
             assert np.array_equal(state.m[k], 0.9 * m_before[k])
 
@@ -64,8 +65,8 @@ class TestAdam:
         params = {"p": np.zeros((1, 1, 1, 1))}
         grads = {"p": np.ones((1, 1, 1, 1))}
         state = AdamState.for_params(params)
-        out, _ = adam_step(params, grads, state, lr=1e-3, eps=1e-8)
-        delta = float(out["p"].ravel()[0])
+        adam_step(params, grads, state, lr=1e-3, eps=1e-8)
+        delta = float(params["p"].ravel()[0])
         assert abs(delta + 1e-3) < 1e-8
 
     def test_determinism(self):
@@ -76,7 +77,7 @@ class TestAdam:
             rng = RngStream(2)
             for _ in range(5):
                 grads = {k: rng.normal(v.shape) for k, v in params.items()}
-                params, state = adam_step(params, grads, state, lr=1e-2)
+                adam_step(params, grads, state, lr=1e-2)
             results.append(parameter_checksum(params))
         assert results[0] == results[1]
 
@@ -179,6 +180,27 @@ class TestTrain:
         with pytest.raises(Diverged) as info:
             train(tiny_config(paths, style, steps=3))
         assert info.value.step == 1
+
+    def test_parameters_updated_in_place(self, dataset, monkeypatch):
+        import normkit.training as training_module
+
+        built = []
+
+        def recording_build(*args, **kwargs):
+            g = build(*args, **kwargs)
+            built.append({k: (v, v.copy()) for k, v in g.parameters().items()})
+            return g
+
+        monkeypatch.setattr(training_module, "build", recording_build)
+        paths, style = dataset
+        g, _ = train(tiny_config(paths, style, steps=2))
+        (initial,) = built
+        params = g.parameters()
+        assert params.keys() == initial.keys()
+        for name, arr in params.items():
+            live, start = initial[name]
+            assert arr is live, name
+            assert not np.array_equal(arr, start), name
 
     def test_invalid_config_rejected(self, dataset):
         paths, style = dataset
