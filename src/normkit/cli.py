@@ -42,25 +42,27 @@ EXIT_DIVERGED = 4
 
 
 def _add_train_flags(parser, with_out=True):
+    # parsers built with argument_default=SUPPRESS: an omitted flag leaves no
+    # attribute, so TrainConfig's field defaults are the only defaults
     parser.add_argument("--style", required=True, help="style image (binary PPM)")
     parser.add_argument("--content-dir", required=True, help="directory of content PPMs")
     if with_out:
         parser.add_argument("--out", required=True, help="output weight file; log goes to <out>.log")
-    parser.add_argument("--norm", default="instance", choices=["instance", "batch", "none"])
-    parser.add_argument("--padding", default="reflect", choices=["zero", "reflect"])
-    parser.add_argument("--steps", type=int, default=200)
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--batch-size", type=int, default=4)
-    parser.add_argument("--lr", type=float, default=1e-3)
-    parser.add_argument("--alpha", type=float, default=1.0, help="content loss weight")
-    parser.add_argument("--beta", type=float, default=10.0, help="style loss weight")
-    parser.add_argument("--base-channels", type=int, default=8)
-    parser.add_argument("--residual-blocks", type=int, default=3)
-    parser.add_argument("--noise-channels", type=int, default=1)
+    parser.add_argument("--norm", dest="norm_mode", choices=["instance", "batch", "none"])
+    parser.add_argument("--padding", dest="padding_mode", choices=["zero", "reflect"])
+    parser.add_argument("--steps", type=int)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--batch-size", type=int)
+    parser.add_argument("--lr", dest="learning_rate", type=float)
+    parser.add_argument("--alpha", type=float, help="content loss weight")
+    parser.add_argument("--beta", type=float, help="style loss weight")
+    parser.add_argument("--base-channels", type=int)
+    parser.add_argument("--residual-blocks", type=int)
+    parser.add_argument("--noise-channels", type=int)
     parser.add_argument("--affine", action="store_true", help="learnable scale/shift after norms")
-    parser.add_argument("--extractor-seed", type=int, default=None)
-    parser.add_argument("--extractor-weights", default=None, help="load loss features from a weight file")
-    parser.add_argument("--log-every", type=int, default=10)
+    parser.add_argument("--extractor-seed", type=int)
+    parser.add_argument("--extractor-weights", help="load loss features from a weight file")
+    parser.add_argument("--log-every", type=int)
 
 
 def _content_paths(directory):
@@ -76,30 +78,12 @@ def _content_paths(directory):
 
 
 def _train_config(args, dataset):
-    from .loss import DEFAULT_EXTRACTOR_SEED
+    from dataclasses import fields
+
     from .training import TrainConfig
 
-    return TrainConfig(
-        style=args.style,
-        dataset=dataset,
-        seed=args.seed,
-        steps=args.steps,
-        batch_size=args.batch_size,
-        learning_rate=args.lr,
-        alpha=args.alpha,
-        beta=args.beta,
-        norm_mode=args.norm,
-        padding_mode=args.padding,
-        base_channels=args.base_channels,
-        residual_blocks=args.residual_blocks,
-        noise_channels=args.noise_channels,
-        affine=args.affine,
-        extractor_seed=(
-            DEFAULT_EXTRACTOR_SEED if args.extractor_seed is None else args.extractor_seed
-        ),
-        extractor_weights=args.extractor_weights,
-        log_every=args.log_every,
-    )
+    names = {f.name for f in fields(TrainConfig)}
+    return TrainConfig(dataset=dataset, **{k: v for k, v in vars(args).items() if k in names})
 
 
 def cmd_train(parser, args) -> int:
@@ -128,8 +112,8 @@ def _stylize_tensor(generator, content, seed):
         z = RngStream(seed, STREAM_NOISE).normal(
             (content.shape[0], nz, content.shape[2], content.shape[3])
         )
-    mode = "eval" if generator.config.norm_mode == "batch" else "train"
-    y, _ = generator.forward(content, z, mode=mode)
+    # eval: batch norm uses its running statistics; the other modes ignore it
+    y, _ = generator.forward(content, z, mode="eval")
     return y
 
 
@@ -203,7 +187,7 @@ def cmd_compare_norms(parser, args) -> int:
 
 
 def cmd_gradcheck(parser, args) -> int:
-    from .training import gradcheck
+    from .gradcheck import gradcheck
 
     report = gradcheck(args.subject, h=args.h)
     failed = False
@@ -221,7 +205,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_train = sub.add_parser("train", help="train a stylization generator")
+    p_train = sub.add_parser(
+        "train", help="train a stylization generator", argument_default=argparse.SUPPRESS
+    )
     _add_train_flags(p_train)
 
     p_sty = sub.add_parser("stylize", help="apply trained weights to an image")
@@ -233,6 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser(
         "compare-norms",
         help="train batch-norm and instance-norm generators from identical initializations",
+        argument_default=argparse.SUPPRESS,
     )
     _add_train_flags(p_cmp, with_out=False)
     p_cmp.add_argument("--out-dir", required=True)

@@ -21,13 +21,14 @@ one training batch first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import weights as weightfile
 from .errors import FormatError, InvalidArgument, MissingForward, ShapeMismatch
 from .layers import (
+    PADDING_MODES,
     ConvParams,
     conv2d_backward,
     conv2d_forward,
@@ -46,7 +47,6 @@ from .norms import (
 from .tensor import RngStream, Tensor4, reduce, require_tensor4
 
 NORM_MODES = ("none", "batch", "instance")
-PAD_MODES = ("zero", "reflect")
 
 
 @dataclass
@@ -62,14 +62,16 @@ class GeneratorConfig:
     def __post_init__(self):
         if self.norm_mode not in NORM_MODES:
             raise InvalidArgument(f"norm_mode must be one of {NORM_MODES}")
-        if self.padding_mode not in PAD_MODES:
-            raise InvalidArgument(f"padding_mode must be one of {PAD_MODES}")
+        if self.padding_mode not in PADDING_MODES:
+            raise InvalidArgument(f"padding_mode must be one of {PADDING_MODES}")
         if self.base_channels < 1:
             raise InvalidArgument("base_channels must be >= 1")
         if self.residual_blocks < 0:
             raise InvalidArgument("residual_blocks must be >= 0")
         if self.noise_channels < 0:
             raise InvalidArgument("noise_channels must be >= 0")
+        if not self.eps >= 0:
+            raise InvalidArgument("eps must be >= 0")
 
 
 def walk_forward(units: list, h: Tensor4, mode: str, taps=()) -> tuple[Tensor4, list, dict]:
@@ -298,21 +300,19 @@ class Generator:
 
     # -- persistence ------------------------------------------------------
 
-    _NORM_CODE = {"none": 0.0, "batch": 1.0, "instance": 2.0}
-    _PAD_CODE = {"zero": 0.0, "reflect": 1.0}
+    # the file stores every GeneratorConfig field as a scalar "meta.<field>";
+    # the string fields as codes
+    _CODES = {
+        "norm_mode": {"none": 0.0, "batch": 1.0, "instance": 2.0},
+        "padding_mode": {"zero": 0.0, "reflect": 1.0},
+    }
 
     def to_entries(self) -> dict[str, np.ndarray]:
-        cfg = self.config
-        entries = {
-            "meta.kind": weightfile.scalar_entry(1.0),  # 1 = generator
-            "meta.norm_mode": weightfile.scalar_entry(self._NORM_CODE[cfg.norm_mode]),
-            "meta.padding_mode": weightfile.scalar_entry(self._PAD_CODE[cfg.padding_mode]),
-            "meta.base_channels": weightfile.scalar_entry(cfg.base_channels),
-            "meta.residual_blocks": weightfile.scalar_entry(cfg.residual_blocks),
-            "meta.noise_channels": weightfile.scalar_entry(cfg.noise_channels),
-            "meta.eps": weightfile.scalar_entry(cfg.eps),
-            "meta.affine": weightfile.scalar_entry(1.0 if cfg.affine else 0.0),
-        }
+        entries = {"meta.kind": weightfile.scalar_entry(1.0)}  # 1 = generator
+        for f in fields(GeneratorConfig):
+            value = getattr(self.config, f.name)
+            value = self._CODES[f.name][value] if f.name in self._CODES else value
+            entries[f"meta.{f.name}"] = weightfile.scalar_entry(value)
         for name, value in self.parameters().items():
             entries[name] = value if value.ndim == 4 else value.reshape(1, len(value), 1, 1)
         for unit in self.norm_units():
@@ -324,20 +324,18 @@ class Generator:
 
     @classmethod
     def from_entries(cls, entries: dict[str, np.ndarray]) -> "Generator":
-        code = {v: k for k, v in cls._NORM_CODE.items()}
-        pad = {v: k for k, v in cls._PAD_CODE.items()}
-        try:
-            config = GeneratorConfig(
-                norm_mode=code[weightfile.entry_scalar(entries, "meta.norm_mode")],
-                padding_mode=pad[weightfile.entry_scalar(entries, "meta.padding_mode")],
-                base_channels=int(weightfile.entry_scalar(entries, "meta.base_channels")),
-                residual_blocks=int(weightfile.entry_scalar(entries, "meta.residual_blocks")),
-                noise_channels=int(weightfile.entry_scalar(entries, "meta.noise_channels")),
-                eps=weightfile.entry_scalar(entries, "meta.eps"),
-                affine=weightfile.entry_scalar(entries, "meta.affine") != 0.0,
-            )
-        except KeyError as exc:
-            raise FormatError(f"weight file is not a generator: missing {exc}")
+        # set one field at a time on a valid default, so an InvalidArgument
+        # can only come from the entry just decoded
+        config = GeneratorConfig()
+        for f in fields(GeneratorConfig):
+            name = f"meta.{f.name}"
+            value = weightfile.entry_scalar(entries, name)
+            codes = {v: k for k, v in cls._CODES.get(f.name, {}).items()}
+            try:
+                decoded = codes[value] if value in codes else type(getattr(config, f.name))(value)
+                config = replace(config, **{f.name: decoded})
+            except (InvalidArgument, ValueError, OverflowError) as exc:
+                raise FormatError(f"entry {name!r} holds an invalid value {value!r}: {exc}")
         g = build(config, RngStream(0))
         # the fresh generator's own entries say which arrays the file must
         # carry; each is the unit's live storage (a bias as a reshaped view),
@@ -347,11 +345,14 @@ class Generator:
                 continue
             if name not in entries:
                 raise FormatError(f"weight file missing entry {name!r}")
-            if entries[name].shape != live.shape:
-                raise FormatError(
-                    f"entry {name!r} has shape {entries[name].shape}, expected {live.shape}"
-                )
-            live[...] = entries[name]
+            value = entries[name]
+            if value.shape != live.shape:
+                raise FormatError(f"entry {name!r} has shape {value.shape}, expected {live.shape}")
+            if not np.isfinite(value).all():
+                raise FormatError(f"entry {name!r} holds non-finite values")
+            if name.endswith(".running_var") and (value < 0).any():
+                raise FormatError(f"entry {name!r} holds negative variances")
+            live[...] = value
         for unit in g.norm_units():
             if unit.running is not None:
                 unit.running.sample_count = int(entries[f"{unit.name}.count"].ravel()[0])

@@ -57,10 +57,6 @@ class ConvParams:
         if self.padding_mode not in PADDING_MODES:
             raise InvalidArgument(f"padding_mode must be one of {PADDING_MODES}")
 
-    @property
-    def kernel(self) -> int:
-        return self.weights.shape[2]
-
 
 @dataclass
 class ConvCache:

@@ -137,6 +137,8 @@ class FeatureExtractor:
             k = w.shape[2]
             params = ConvParams(w, None, stride=stride, padding_mode="reflect", pad=(k - 1) // 2)
             units += [ConvUnit(f"phi{i}_conv", params), ReluUnit(f"phi{i}_relu")]
+        if "meta.style_taps" not in entries:
+            raise FormatError("missing required entry 'meta.style_taps'")
         style_taps = tuple(int(v) for v in entries["meta.style_taps"].ravel())
         content_tap = int(weightfile.entry_scalar(entries, "meta.content_tap"))
         return cls(units=units, style_taps=style_taps, content_tap=content_tap)

@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import InvalidArgument, InvalidShape, ShapeMismatch
+from .errors import InvalidArgument, InvalidShape
 
 AXIS_NAMES = "TCWH"
 _AXIS_INDEX = {name: i for i, name in enumerate(AXIS_NAMES)}
@@ -54,21 +54,6 @@ def new_tensor(shape, fill: float = 0.0) -> Tensor4:
     """Allocate a (T, C, W, H) tensor with every element equal to ``fill``."""
     dims = check_shape(shape)
     return np.full(dims, float(fill), dtype=np.float64)
-
-
-def map_binary(a: Tensor4, b: Tensor4, op: str) -> Tensor4:
-    """Elementwise add / sub / mul of two same-shape tensors."""
-    require_tensor4(a, "a")
-    require_tensor4(b, "b")
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"operand shapes differ: {a.shape} vs {b.shape}")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise InvalidArgument(f"unknown binary op {op!r}; expected add, sub, or mul")
 
 
 def _parse_axes(axes) -> list[int]:

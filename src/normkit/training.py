@@ -1,4 +1,4 @@
-"""Training loop, Adam optimizer, and the finite-difference check harness.
+"""Training loop and Adam optimizer.
 
 The objective is the batch mean of the perceptual loss over content
 images, with a fresh Gaussian noise draw per instance per step. The whole
@@ -238,158 +238,3 @@ def train(config: TrainConfig) -> tuple[Generator, RunReport]:
     report.param_checksum = parameter_checksum(g.parameters())
     return g, report
 
-
-# -- gradient checking ------------------------------------------------------
-
-def _max_rel_err(f, probes, h):
-    """Worst relative error of analytic gradients against central differences.
-
-    ``probes`` yields (array, index, analytic d f / d array[index]); each
-    element is perturbed in place and restored exactly.
-    """
-    worst = 0.0
-    for arr, idx, analytic in probes:
-        orig = arr[idx]
-        arr[idx] = orig + h
-        fp = f()
-        arr[idx] = orig - h
-        fm = f()
-        arr[idx] = orig
-        numeric = (fp - fm) / (2.0 * h)
-        worst = max(worst, abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8))
-    return worst
-
-
-def _every_index(pairs):
-    """Probe every element of each (array, analytic gradient) pair."""
-    for arr, grad in pairs:
-        for idx in np.ndindex(arr.shape):
-            yield arr, idx, grad[idx]
-
-
-def _check_conv(padding_mode):
-    from .layers import ConvParams, conv2d_backward, conv2d_forward
-
-    rng = RngStream(7)
-    x = rng.normal((1, 2, 4, 4))
-    p = ConvParams(
-        rng.normal((2, 2, 3, 3)), rng.normal((1, 1, 1, 2)).ravel(),
-        stride=1, padding_mode=padding_mode, pad=1,
-    )
-
-    def f():
-        y, _ = conv2d_forward(x, p)
-        return 0.5 * float((y * y).sum())
-
-    y, cache = conv2d_forward(x, p)
-    gx, gw, gb = conv2d_backward(y, cache, p)
-    return f, _every_index([(x, gx), (p.weights, gw), (p.bias, gb)])
-
-
-def _check_relu():
-    from .layers import relu_backward, relu_forward
-
-    x = RngStream(8).normal((1, 2, 4, 4))
-    x[np.abs(x) < 1e-3] = 0.25  # stay clear of the kink
-
-    def f():
-        y, _ = relu_forward(x)
-        return 0.5 * float((y * y).sum())
-
-    y, cache = relu_forward(x)
-    gx = relu_backward(y, cache)
-    return f, _every_index([(x, gx)])
-
-
-def _check_upsample():
-    from .layers import upsample_nearest_backward, upsample_nearest_forward
-
-    x = RngStream(9).normal((1, 2, 3, 3))
-
-    def f():
-        y = upsample_nearest_forward(x, 2)
-        return 0.5 * float((y * y).sum())
-
-    y = upsample_nearest_forward(x, 2)
-    gx = upsample_nearest_backward(y, 2)
-    return f, _every_index([(x, gx)])
-
-
-def _check_norm(kind):
-    # a random linear probe: the quadratic loss is degenerate through a
-    # normalizer (output norm is nearly fixed), leaving only eps-scale
-    # gradients that finite differences cannot resolve
-    from .norms import batch_norm_forward, instance_norm_forward, norm_backward
-
-    x = RngStream(10).normal((2, 2, 3, 3))
-    probe = RngStream(11).normal((2, 2, 3, 3))
-
-    def forward():
-        if kind == "batch":
-            return batch_norm_forward(x, mode="train")
-        return instance_norm_forward(x)
-
-    def f():
-        y, _ = forward()
-        return float((y * probe).sum())
-
-    _, cache = forward()
-    gx = norm_backward(probe, cache)
-    return f, _every_index([(x, gx)])
-
-
-def _check_generator(sample_count=20):
-    content = RngStream(12).uniform((1, 3, 8, 8))
-    style = RngStream(13).uniform((1, 3, 8, 8))
-    z = RngStream(14).normal((1, 1, 8, 8))
-    phi = FeatureExtractor.seeded()
-    target = StyleTarget.from_style_image(phi, style)
-    g = build(GeneratorConfig(residual_blocks=1), RngStream(15))
-
-    def f():
-        y, _ = g.forward(content, z, mode="train")
-        return total_loss(target, phi, content, y)[0]
-
-    y, caches = g.forward(content, z, mode="train")
-    _, grad_y = total_loss(target, phi, content, y)
-    grads = g.backward(grad_y, caches)
-
-    params = g.parameters()
-    names = sorted(params)
-    picker = RngStream(16)
-
-    def sampled():
-        for _ in range(sample_count):
-            name = names[picker.integers(0, len(names))]
-            arr = params[name]
-            idx = np.unravel_index(picker.integers(0, arr.size), arr.shape)
-            yield arr, idx, grads[name][idx]
-
-    return f, sampled()
-
-
-_CHECKS = {
-    "conv_zero": lambda: _check_conv("zero"),
-    "conv_reflect": lambda: _check_conv("reflect"),
-    "relu": _check_relu,
-    "upsample": _check_upsample,
-    "batch_norm": lambda: _check_norm("batch"),
-    "instance_norm": lambda: _check_norm("instance"),
-    "generator": _check_generator,
-}
-SUBJECTS = tuple(_CHECKS)
-
-
-def gradcheck(subject: str = "all", h: float = 1e-5) -> dict[str, float]:
-    """Central-difference audit of every backward pass.
-
-    Returns {subject: max relative error}. Unknown subjects raise
-    InvalidArgument; failures are the caller's judgment against their
-    tolerance.
-    """
-    if h <= 0:
-        raise InvalidArgument("h must be > 0")
-    if subject != "all" and subject not in SUBJECTS:
-        raise InvalidArgument(f"unknown subject {subject!r}; choose from {SUBJECTS} or 'all'")
-    chosen = SUBJECTS if subject == "all" else (subject,)
-    return {name: _max_rel_err(*_CHECKS[name](), h) for name in chosen}

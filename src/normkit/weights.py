@@ -67,7 +67,10 @@ def load_entries(path: str) -> dict[str, np.ndarray]:
     entries: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2, "name length"))
-        name = take(name_len, "name").decode("utf-8")
+        try:
+            name = take(name_len, "name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError("entry name is not valid UTF-8", offset=off - name_len)
         if name in entries:
             raise FormatError(f"duplicate entry name {name!r}", offset=off)
         dims = struct.unpack("<4I", take(16, "dims"))

@@ -23,7 +23,8 @@ from normkit.norms import (
     instance_norm_forward,
 )
 from normkit.tensor import RngStream, sample_gaussian
-from normkit.training import TrainConfig, gradcheck, train
+from normkit.gradcheck import gradcheck
+from normkit.training import TrainConfig, train
 
 LAYER_TOL = 1e-6
 COMPOSITE_TOL = 1e-4

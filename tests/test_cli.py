@@ -120,6 +120,20 @@ class TestTrainCommand:
                        "--out", out_b, "--extractor-weights", phi_file, *TINY) == 0
         assert open(out_a, "rb").read() == open(out_b, "rb").read()
 
+    def test_extractor_weights_missing_taps_exit_3(self, dataset, tmp_path, capsys):
+        from normkit.loss import FeatureExtractor
+        from normkit.weights import save_entries
+
+        directory, _, style = dataset
+        entries = FeatureExtractor.seeded().to_entries()
+        del entries["meta.style_taps"]
+        phi_file = str(tmp_path / "phi.nrmk")
+        save_entries(phi_file, entries)
+        code = run_cli("train", "--style", style, "--content-dir", directory,
+                       "--out", str(tmp_path / "w.nrmk"), "--extractor-weights", phi_file, *TINY)
+        assert code == 3
+        assert "'meta.style_taps'" in capsys.readouterr().err
+
 
 class TestStylizeCommand:
     def test_output_matches_input_dims(self, weights, dataset, tmp_path):
@@ -192,6 +206,12 @@ class TestStylizeCommand:
         ("head_conv.b", np.zeros((1, 5, 1, 1))),  # bias of the wrong size
         ("stem_conv.w", np.zeros((4, 5, 3, 3))),  # weight of the wrong shape
         ("down1_norm.running_mu", None),  # batch-norm statistic missing
+        ("meta.norm_mode", np.full((1, 1, 1, 1), 7.0)),  # unknown code
+        ("meta.base_channels", np.full((1, 1, 1, 1), 0.5)),  # config rejects it
+        ("meta.eps", np.full((1, 1, 1, 1), -1.0)),  # config rejects it
+        ("stem_conv.w", np.full((4, 4, 3, 3), np.nan)),  # non-finite weight
+        ("down1_norm.running_var", np.full((1, 4, 1, 1), -1.0)),  # negative variance
+        ("down1_norm.count", np.full((1, 1, 1, 1), np.nan)),  # non-finite count
     ])
     def test_malformed_weight_entry_exit_3(self, dataset, tmp_path, capsys, name, value):
         from normkit.generator import GeneratorConfig, build

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from normkit.errors import InvalidArgument, InvalidShape, ShapeMismatch
-from normkit.tensor import RngStream, map_binary, new_tensor, reduce, sample_gaussian
+from normkit.errors import InvalidArgument, InvalidShape
+from normkit.tensor import RngStream, new_tensor, reduce, sample_gaussian
 
 
 def seq_reduce_oracle(x, axes):
@@ -47,32 +47,6 @@ class TestNewTensor:
     def test_wrong_rank_rejected(self):
         with pytest.raises(InvalidShape):
             new_tensor((1, 2, 3), 0.0)
-
-
-class TestMapBinary:
-    def test_add_ones(self):
-        a = new_tensor((1, 1, 2, 2), 1.0)
-        assert np.all(map_binary(a, a, "add") == 2.0)
-
-    def test_sub_self_is_zero(self):
-        x = sample_gaussian(RngStream(3), (2, 2, 3, 3))
-        assert np.all(map_binary(x, x, "sub") == 0.0)
-
-    def test_shape_mismatch(self):
-        a = new_tensor((1, 1, 2, 2), 1.0)
-        b = new_tensor((1, 1, 2, 3), 1.0)
-        with pytest.raises(ShapeMismatch):
-            map_binary(a, b, "mul")
-
-    def test_unknown_op(self):
-        a = new_tensor((1, 1, 2, 2), 1.0)
-        with pytest.raises(InvalidArgument):
-            map_binary(a, a, "div")
-
-    def test_add_commutes_bitwise(self):
-        a = sample_gaussian(RngStream(10), (2, 3, 4, 5))
-        b = sample_gaussian(RngStream(11), (2, 3, 4, 5))
-        assert np.array_equal(map_binary(a, b, "add"), map_binary(b, a, "add"))
 
 
 class TestReduce:

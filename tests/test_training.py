@@ -15,7 +15,6 @@ from normkit.training import (
     _BatchSampler,
     adam_step,
     config_echo,
-    gradcheck,
     load_image_tensor,
     parameter_checksum,
     serialize_report,
@@ -251,37 +250,3 @@ class TestReport:
         g2, r2 = train(tiny_config(paths, style, steps=2))
         assert r1.param_checksum != r2.param_checksum
 
-
-class TestGradcheckHarness:
-    def test_linear_conv_quadratic_loss_near_exact(self):
-        # conv is linear, the probe quadratic, so central differences have
-        # no truncation error at all; a wide step just drowns the rounding
-        from helpers import fd_grad, max_rel_err
-
-        from normkit.layers import ConvParams, conv2d_backward, conv2d_forward
-
-        rng = RngStream(7)
-        x = rng.normal((1, 2, 4, 4))
-        p = ConvParams(rng.normal((2, 2, 3, 3)), None, stride=1, padding_mode="zero", pad=1)
-
-        def loss():
-            y, _ = conv2d_forward(x, p)
-            return 0.5 * float((y * y).sum())
-
-        y, cache = conv2d_forward(x, p)
-        gx, gw, _ = conv2d_backward(y, cache, p)
-        assert max_rel_err(gx, fd_grad(loss, x, h=1e-3)) < 1e-9
-        assert max_rel_err(gw, fd_grad(loss, p.weights, h=1e-3)) < 1e-9
-
-    def test_unknown_subject(self):
-        with pytest.raises(InvalidArgument):
-            gradcheck("nosuch")
-
-    def test_bad_h(self):
-        with pytest.raises(InvalidArgument):
-            gradcheck("relu", h=0.0)
-
-    def test_single_subject(self):
-        report = gradcheck("upsample")
-        assert set(report.keys()) == {"upsample"}
-        assert report["upsample"] < 1e-9

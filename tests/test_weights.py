@@ -94,6 +94,16 @@ class TestErrors:
         save_entries(path, entries)
         assert np.array_equal(load_entries(path)["层.w"], entries["层.w"])
 
+    def test_non_utf8_name_rejected_with_offset(self, tmp_path):
+        path = str(tmp_path / "w.nrmk")
+        save_entries(path, {"ab": np.ones((1, 1, 1, 1))})
+        blob = bytearray(open(path, "rb").read())
+        name_at = len(MAGIC) + 4 + 2  # after the entry count and the name length
+        blob[name_at] = 0xFF
+        open(path, "wb").write(bytes(blob))
+        with pytest.raises(FormatError, match=f"UTF-8 \\(byte offset {name_at}\\)"):
+            load_entries(path)
+
     def test_wrong_kind_files_rejected_cleanly(self, tmp_path):
         from normkit.generator import Generator, GeneratorConfig, build
         from normkit.loss import FeatureExtractor
