@@ -42,14 +42,17 @@ EXIT_DIVERGED = 4
 
 
 def _add_train_flags(parser, with_out=True):
+    from .generator import NORM_MODES
+    from .layers import PADDING_MODES
+
     # parsers built with argument_default=SUPPRESS: an omitted flag leaves no
     # attribute, so TrainConfig's field defaults are the only defaults
     parser.add_argument("--style", required=True, help="style image (binary PPM)")
     parser.add_argument("--content-dir", required=True, help="directory of content PPMs")
     if with_out:
         parser.add_argument("--out", required=True, help="output weight file; log goes to <out>.log")
-    parser.add_argument("--norm", dest="norm_mode", choices=["instance", "batch", "none"])
-    parser.add_argument("--padding", dest="padding_mode", choices=["zero", "reflect"])
+    parser.add_argument("--norm", dest="norm_mode", choices=NORM_MODES)
+    parser.add_argument("--padding", dest="padding_mode", choices=PADDING_MODES)
     parser.add_argument("--steps", type=int)
     parser.add_argument("--seed", type=int)
     parser.add_argument("--batch-size", type=int)

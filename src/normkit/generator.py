@@ -16,7 +16,8 @@ controlled-experiment contract this module exists to support.
 
 Instance-norm generators behave identically in train and eval mode. Batch
 norm uses running statistics in eval mode and therefore must see at least
-one training batch first.
+one training batch first. An eval forward keeps no caches, so it cannot be
+backpropagated.
 """
 
 from __future__ import annotations
@@ -75,11 +76,17 @@ class GeneratorConfig:
 
 
 def walk_forward(units: list, h: Tensor4, mode: str, taps=()) -> tuple[Tensor4, list, dict]:
-    """Run units in order; returns (output, caches, {i: output of unit i} for i in taps)."""
+    """Run units in order; returns (output, caches, {i: output of unit i} for i in taps).
+
+    Only a train walk keeps the units' caches. An eval walk returns none, so
+    each cache (a conv's im2col buffer above all) is freed once the next unit
+    has run, and a backward over an eval walk fails as a missing forward.
+    """
     caches, outs = [], {}
     for i, unit in enumerate(units):
         h, cache = unit.forward(h, mode)
-        caches.append(cache)
+        if mode == "train":
+            caches.append(cache)
         if i in taps:
             outs[i] = h
     return h, caches, outs

@@ -6,9 +6,15 @@ cross-correlation (no kernel flip) so a direct nested-loop oracle matches
 it term by term. Two padding modes are supported:
 
 * ``zero``    - pad with zeros; backward drops gradient at padded cells.
-* ``reflect`` - mirror without repeating the edge pixel; backward
-                accumulates reflected contributions back onto their
-                source pixels.
+* ``reflect`` - mirror without repeating the edge pixel; backward folds
+                each mirrored border row and column back onto its source.
+
+Convolution is im2col plus GEMM. The forward lays every instance's patches
+out as one ``(T, OW*OH, C_in*K*K)`` stack and multiplies it by the
+``(C_out, C_in*K*K)`` kernel matrix with a stacked ``matmul``, one GEMM per
+instance. The backward's input-gradient columns come out as
+``(T, C_in, K, K, OW, OH)``, so each of the ``K*K`` strided slice-adds into
+the padded gradient reads contiguous ``(OW, OH)`` planes.
 """
 
 from __future__ import annotations
@@ -60,7 +66,7 @@ class ConvParams:
 
 @dataclass
 class ConvCache:
-    cols: list  # per instance: (OW*OH, C_in*K*K) patch matrix
+    cols: np.ndarray  # (T, OW*OH, C_in*K*K): one patch matrix per instance
     padded_shape: tuple
     in_shape: tuple
     out_shape: tuple
@@ -100,11 +106,22 @@ def _unpad_grad(g_padded: np.ndarray, in_shape: tuple, pad: int, mode: str) -> T
     T, C, W, H = in_shape
     if mode == "zero":
         return g_padded[:, :, pad : pad + W, pad : pad + H].copy()
-    iw = _reflect_indices(W, pad)
-    ih = _reflect_indices(H, pad)
-    gx = np.zeros(in_shape, dtype=np.float64)
-    np.add.at(gx, (slice(None), slice(None), iw[:, None], ih[None, :]), g_padded)
-    return gx
+    return _fold_reflect(_fold_reflect(g_padded, pad, 2), pad, 3)
+
+
+def _fold_reflect(g: np.ndarray, pad: int, axis: int) -> np.ndarray:
+    # adjoint of reflect padding along one axis: keep the interior, then add
+    # each mirrored border row onto its source row (padded row pad-i mirrors
+    # row i, padded row pad+n-1+i mirrors row n-1-i, for i in 1..pad)
+    n = g.shape[axis] - 2 * pad
+
+    def rows(*s):
+        return (slice(None),) * axis + (slice(*s),)
+
+    out = g[rows(pad, pad + n)].copy()
+    out[rows(1, pad + 1)] += g[rows(pad - 1, None, -1)]
+    out[rows(n - 1 - pad, n - 1)] += g[rows(n + 2 * pad - 1, n + pad - 1, -1)]
+    return out
 
 
 def _windows(xp: np.ndarray, kernel: int, stride: int, ow: int, oh: int) -> np.ndarray:
@@ -136,17 +153,13 @@ def conv2d_forward(x: Tensor4, p: ConvParams) -> tuple[Tensor4, ConvCache]:
     oh = (hp - k) // p.stride + 1
     win = _windows(xp, k, p.stride, ow, oh)
     w_mat = p.weights.reshape(c_out, c_in * k * k)
-    # one GEMM per instance: the per-instance result is then bitwise
-    # independent of its batch companions (BLAS blocking varies with the
-    # batched matrix height, instance norm's independence contract doesn't)
-    y = np.empty((x.shape[0], c_out, ow, oh))
-    cols = []
-    for t in range(x.shape[0]):
-        cols_t = np.ascontiguousarray(win[t].transpose(1, 2, 0, 3, 4)).reshape(
-            ow * oh, c_in * k * k
-        )
-        cols.append(cols_t)
-        y[t] = (w_mat @ cols_t.T).reshape(c_out, ow, oh)
+    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(
+        x.shape[0], ow * oh, c_in * k * k
+    )
+    # stacked matmul: one GEMM per instance. BLAS blocking varies with the
+    # matrix height, so one GEMM over all T*OW*OH rows would break instance
+    # norm's contract that a row is bitwise independent of its companions
+    y = np.matmul(w_mat, cols.transpose(0, 2, 1)).reshape(x.shape[0], c_out, ow, oh)
     if p.bias is not None:
         y += p.bias[None, :, None, None]
     cache = ConvCache(cols=cols, padded_shape=xp.shape, in_shape=x.shape, out_shape=y.shape)
@@ -168,22 +181,18 @@ def conv2d_backward(
     w_mat = p.weights.reshape(c_out, c_in * k * k)
 
     grad_b = grad_out.sum(axis=(0, 2, 3)) if p.bias is not None else None
-    grad_w_mat = np.zeros((c_out, c_in * k * k))
-    gcols = np.empty((t_count, ow, oh, c_in, k, k))
-    for t in range(t_count):
-        g_mat = grad_out[t].reshape(c_out, ow * oh)
-        grad_w_mat += g_mat @ cache.cols[t]
-        gcols[t] = (g_mat.T @ w_mat).reshape(ow, oh, c_in, k, k)
-    grad_w = grad_w_mat.reshape(p.weights.shape)
+    g_mat = grad_out.reshape(t_count, c_out, ow * oh)
+    grad_w = np.matmul(g_mat, cache.cols).sum(axis=0).reshape(p.weights.shape)
+    # (T, C_in, K, K, OW, OH): each kernel offset's gradient is a contiguous
+    # (OW, OH) plane per channel
+    gcols = np.matmul(w_mat.T, g_mat).reshape(t_count, c_in, k, k, ow, oh)
 
     # scatter grad onto padded input: one strided slice-add per kernel offset
     gxp = np.zeros(cache.padded_shape)
     s = p.stride
     for kw in range(k):
         for kh in range(k):
-            gxp[:, :, kw : kw + ow * s : s, kh : kh + oh * s : s] += gcols[
-                :, :, :, :, kw, kh
-            ].transpose(0, 3, 1, 2)
+            gxp[:, :, kw : kw + ow * s : s, kh : kh + oh * s : s] += gcols[:, :, kw, kh]
     grad_x = _unpad_grad(gxp, cache.in_shape, p.pad, p.padding_mode)
     return grad_x, grad_w, grad_b
 
@@ -227,5 +236,12 @@ def upsample_nearest_backward(grad_out: Tensor4, factor: int) -> Tensor4:
         raise ShapeMismatch(
             f"grad_out spatial dims {W}x{H} not divisible by factor {factor}"
         )
-    blocks = grad_out.reshape(T, C, W // factor, factor, H // factor, factor)
-    return blocks.sum(axis=(3, 5))
+    # sum within each block row, then across rows: for factor 2 that is
+    # (g00 + g01) + (g10 + g11), bitwise numpy's sum over the reshaped blocks
+    rows = grad_out[..., 0::factor]
+    for j in range(1, factor):
+        rows = rows + grad_out[..., j::factor]
+    out = rows[..., 0::factor, :]
+    for i in range(1, factor):
+        out = out + rows[..., i::factor, :]
+    return out

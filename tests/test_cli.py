@@ -134,6 +134,29 @@ class TestTrainCommand:
         assert code == 3
         assert "'meta.style_taps'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name,value", [
+        ("meta.blocks", np.full((1, 1, 1, 1), np.nan)),
+        ("meta.blocks", np.full((1, 1, 1, 1), 2.5)),
+        ("meta.content_tap", np.full((1, 1, 1, 1), np.nan)),
+        ("meta.style_taps", np.full((1, 1, 1, 3), np.nan)),
+        ("block1.w", np.full((8, 3, 3, 3), np.nan)),
+        ("block2.stride", np.zeros((1, 1, 1, 1))),
+    ])
+    def test_malformed_extractor_entry_exit_3(self, dataset, tmp_path, capsys, name, value):
+        from normkit.loss import FeatureExtractor
+        from normkit.weights import save_entries
+
+        directory, _, style = dataset
+        entries = FeatureExtractor.seeded().to_entries()
+        entries[name] = value
+        phi_file = str(tmp_path / "phi.nrmk")
+        save_entries(phi_file, entries)
+        code = run_cli("train", "--style", style, "--content-dir", directory,
+                       "--out", str(tmp_path / "w.nrmk"), "--extractor-weights", phi_file, *TINY)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(name) in err
+
 
 class TestStylizeCommand:
     def test_output_matches_input_dims(self, weights, dataset, tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from normkit.errors import MissingForward, NotCalibrated, ShapeMismatch
@@ -132,6 +134,28 @@ class TestBackward:
         g = build(GeneratorConfig(), RngStream(20))
         with pytest.raises(MissingForward):
             g.backward(np.zeros((1, 3, 16, 16)), None)
+
+    def test_eval_forward_keeps_no_caches(self):
+        g = build(GeneratorConfig(), RngStream(20))
+        x = content_like(7)
+        y, caches = g.forward(x, noise_for(g, x), mode="eval")
+        with pytest.raises(MissingForward):
+            g.backward(np.zeros_like(y), caches)
+
+    def test_eval_forward_peak_memory_below_half_of_train(self):
+        # numpy reports its buffers to tracemalloc, so the peaks repeat exactly
+        g = build(GeneratorConfig(norm_mode="instance"), RngStream(21))
+        x = content_like(8, size=128)
+        z = noise_for(g, x)
+        peaks = {}
+        for mode in ("train", "eval"):
+            tracemalloc.start()
+            try:
+                g.forward(x, z, mode=mode)
+                peaks[mode] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["eval"] < peaks["train"] / 2
 
     @pytest.mark.parametrize("norm_mode", ["none", "batch", "instance"])
     def test_sampled_parameter_gradients_match_fd(self, norm_mode):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from helpers import fd_grad, max_rel_err, naive_conv2d
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normkit.errors import (
     InvalidArgument,
@@ -150,6 +152,61 @@ class TestConvBackward:
         gx, _, _ = conv2d_backward(u, cache, p)
         assert abs(float((y * u).sum()) - float((x * gx).sum())) < 1e-10
 
+    @pytest.mark.parametrize("size", [8, 32])
+    @pytest.mark.parametrize("mode", ["zero", "reflect"])
+    def test_rows_bitwise_independent_of_batch(self, mode, size):
+        # BLAS picks kernels and blocking from the matrix shape. With numpy's
+        # bundled OpenBLAS, one GEMM over all T*OW*OH rows rounds an
+        # instance's rows differently from its lone GEMM at 8x8 (not at
+        # 32x32), so 8x8 fails if the conv stops issuing per-instance GEMMs
+        rng = RngStream(41)
+        x = sample_gaussian(rng, (4, 16, size, size))
+        p = make_conv(rng, 16, 16, 3, bias=True, padding_mode=mode, pad=1)
+        y, cache = conv2d_forward(x, p)
+        g = sample_gaussian(rng, y.shape)
+        gx, _, _ = conv2d_backward(g, cache, p)
+        for t in range(4):
+            y_t, cache_t = conv2d_forward(x[t : t + 1].copy(), p)
+            gx_t, _, _ = conv2d_backward(g[t : t + 1].copy(), cache_t, p)
+            assert np.array_equal(y[t : t + 1], y_t)
+            assert np.array_equal(gx[t : t + 1], gx_t)
+
+
+@st.composite
+def conv_cases(draw):
+    """(x, params) over shapes down to the smallest a reflect pad allows."""
+    mode = draw(st.sampled_from(["zero", "reflect"]))
+    pad = draw(st.integers(0, 4 if mode == "reflect" else 2))
+    # reflect needs pad <= side - 1
+    low = pad + 1 if mode == "reflect" else 1
+    w, h = draw(st.integers(low, low + 4)), draw(st.integers(low, low + 4))
+    k = draw(st.sampled_from([k for k in (1, 3, 5) if k <= min(w, h) + 2 * pad]))
+    t, c_in, c_out = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rng = RngStream(draw(st.integers(0, 2**16)))
+    x = sample_gaussian(rng, (t, c_in, w, h))
+    p = make_conv(rng, c_out, c_in, k, bias=True, stride=draw(st.integers(1, 2)),
+                  padding_mode=mode, pad=pad)
+    return x, p
+
+
+class TestConvProperties:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(conv_cases())
+    def test_matches_oracle_and_adjoint(self, case):
+        x, p = case
+        y, _ = conv2d_forward(x, p)
+        ref = naive_conv2d(x, p.weights, p.bias, p.stride, p.pad, p.padding_mode)
+        assert np.max(np.abs(y - ref)) <= 1e-12
+        # <L(x), u> == <x, L^T(u)> and == <w, dL/dw . u> for the bias-free map
+        linear = ConvParams(p.weights, None, stride=p.stride, padding_mode=p.padding_mode,
+                            pad=p.pad)
+        y, cache = conv2d_forward(x, linear)
+        u = sample_gaussian(RngStream(5), y.shape)
+        gx, gw, _ = conv2d_backward(u, cache, linear)
+        yu = float((y * u).sum())
+        assert abs(yu - float((x * gx).sum())) < 1e-10
+        assert abs(yu - float((p.weights * gw).sum())) < 1e-10
+
 
 class TestRelu:
     def test_definition(self):
@@ -212,6 +269,15 @@ class TestUpsample:
         for f in (2, 3):
             y = upsample_nearest_forward(x, f)
             assert np.all(upsample_nearest_backward(y, f) == f * f)
+
+    @pytest.mark.parametrize("factor", [2, 3])
+    def test_backward_matches_block_sum(self, factor):
+        g = sample_gaussian(RngStream(10), (2, 3, 4 * factor, 2 * factor))
+        blocks = g.reshape(2, 3, 4, factor, 2, factor).sum(axis=(3, 5))
+        back = upsample_nearest_backward(g, factor)
+        if factor == 2:  # same summation order, so bitwise
+            assert np.array_equal(back, blocks)
+        assert np.max(np.abs(back - blocks)) < 1e-12
 
     def test_adjoint_identity(self):
         rng = RngStream(9)

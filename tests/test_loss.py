@@ -173,10 +173,11 @@ class TestFeaturesBackward:
     def test_blocks_past_deepest_tap_are_not_run(self, phi):
         # block 4 feeds no tap; poisoning it must change neither the loss
         # nor its gradient, and the saved file must still carry the block
+        # (poisoned in memory: a weight file holding NaN fails to load)
         entries = phi.to_entries()
         assert max(phi.taps) < int(entries["meta.blocks"].ravel()[0])
-        entries["block4.w"] = np.full_like(entries["block4.w"], np.nan)
         poisoned = FeatureExtractor.from_entries(entries)
+        poisoned.convs[3].params.weights = np.full_like(entries["block4.w"], np.nan)
         assert np.isnan(poisoned.to_entries()["block4.w"]).all()
         style, content, output = smooth_image(32, 16), smooth_image(33, 16), smooth_image(34, 16)
         target = StyleTarget.from_style_image(phi, style)
