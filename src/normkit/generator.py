@@ -6,8 +6,12 @@ One fully convolutional encoder - residual - decoder skeleton:
     -> conv s1                      (no bias when a norm follows)
     -> [norm -> ReLU -> conv s2] x2
     -> [conv -> norm -> ReLU -> conv -> norm, + skip] x residual_blocks
-    -> [upsample x2 -> conv -> norm -> ReLU] x2
+    -> [upsample x2 + conv -> norm -> ReLU] x2
     -> conv to 3 channels -> sigmoid
+
+Each decoder stage's nearest upsample and 3x3 conv run as one fused unit
+that convolves the low-res map (see :mod:`normkit.layers`); it holds and
+draws the same conv weights as a plain conv would.
 
 ``norm_mode`` selects none / batch / instance for every norm site at once;
 nothing else changes, so two generators built from the same seed with
@@ -35,8 +39,8 @@ from .layers import (
     conv2d_forward,
     relu_backward,
     relu_forward,
-    upsample_nearest_backward,
-    upsample_nearest_forward,
+    upsample_conv_backward,
+    upsample_conv_forward,
 )
 from .norms import (
     DEFAULT_EPS,
@@ -144,6 +148,17 @@ class ConvUnit:
         return out
 
 
+class UpsampleConvUnit(ConvUnit):
+    """Nearest upsample x2, then a 3x3 stride-1 conv, as one layer."""
+
+    def forward(self, x, mode):
+        return upsample_conv_forward(x, self.params)
+
+    def backward(self, g, cache):
+        gx, gw, gb = upsample_conv_backward(g, cache, self.params)
+        return gx, dict(zip(self.parameters(), (gw, gb)))
+
+
 class NormUnit:
     """One normalization site; ``kind`` decides everything it does."""
 
@@ -199,18 +214,6 @@ class ReluUnit(ParameterFreeUnit):
 
     def backward(self, g, cache):
         return relu_backward(g, cache), {}
-
-
-class UpsampleUnit(ParameterFreeUnit):
-    def __init__(self, name, factor=2):
-        self.name = name
-        self.factor = factor
-
-    def forward(self, x, mode):
-        return upsample_nearest_forward(x, self.factor), None
-
-    def backward(self, g, cache):
-        return upsample_nearest_backward(g, self.factor), {}
 
 
 class SigmoidUnit(ParameterFreeUnit):
@@ -338,10 +341,20 @@ class Generator:
             name = f"meta.{f.name}"
             value = weightfile.entry_scalar(entries, name)
             codes = {v: k for k, v in cls._CODES.get(f.name, {}).items()}
+            kind = type(getattr(config, f.name))
             try:
-                decoded = codes[value] if value in codes else type(getattr(config, f.name))(value)
+                # int() and bool() would truncate, so int and bool fields
+                # take only whole numbers, and bool only 0 or 1
+                if value in codes:
+                    decoded = codes[value]
+                elif kind in (int, bool) and not value.is_integer():
+                    raise ValueError("expected a whole number")
+                elif kind is bool and value not in (0.0, 1.0):
+                    raise ValueError("expected 0 or 1")
+                else:
+                    decoded = kind(value)
                 config = replace(config, **{f.name: decoded})
-            except (InvalidArgument, ValueError, OverflowError) as exc:
+            except (InvalidArgument, ValueError) as exc:
                 raise FormatError(f"entry {name!r} holds an invalid value {value!r}: {exc}")
         g = build(config, RngStream(0))
         # the fresh generator's own entries say which arrays the file must
@@ -362,7 +375,8 @@ class Generator:
             live[...] = value
         for unit in g.norm_units():
             if unit.running is not None:
-                unit.running.sample_count = int(entries[f"{unit.name}.count"].ravel()[0])
+                count = weightfile.entry_counts(entries, f"{unit.name}.count", minimum=0)
+                unit.running.sample_count = count[0]
         return g
 
     def save(self, path: str) -> None:
@@ -405,12 +419,10 @@ def build(config: GeneratorConfig, rng: RngStream) -> Generator:
     for i in range(cfg.residual_blocks):
         units.append(ResidualBlock(f"res{i}", rng, c3, padm, norm, cfg.eps, cfg.affine, bias))
     units += [
-        UpsampleUnit("up1_upsample"),
-        ConvUnit.he("up1_conv", rng, c3, c2, 1, padm, bias=bias),
+        UpsampleConvUnit.he("up1_conv", rng, c3, c2, 1, padm, bias=bias),
         norm_unit("up1_norm", c2),
         ReluUnit("up1_relu"),
-        UpsampleUnit("up2_upsample"),
-        ConvUnit.he("up2_conv", rng, c2, c1, 1, padm, bias=bias),
+        UpsampleConvUnit.he("up2_conv", rng, c2, c1, 1, padm, bias=bias),
         norm_unit("up2_norm", c1),
         ReluUnit("up2_relu"),
         ConvUnit.he("head_conv", rng, c1, 3, 1, padm, bias=True),

@@ -1,6 +1,6 @@
 """Finite-difference audit of every backward pass.
 
-Each layer subject is one generator unit driven through the unit protocol
+Each layer subject is one unit driven through the unit protocol
 (``forward``/``backward``/``parameters``) under a seeded random linear probe
 of its output; every element of its input and of each parameter array is
 checked against central differences. The ``generator`` subject samples
@@ -12,8 +12,16 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidArgument
-from .generator import ConvUnit, GeneratorConfig, NormUnit, ReluUnit, UpsampleUnit, build
-from .layers import ConvParams
+from .generator import (
+    ConvUnit,
+    GeneratorConfig,
+    NormUnit,
+    ParameterFreeUnit,
+    ReluUnit,
+    UpsampleConvUnit,
+    build,
+)
+from .layers import ConvParams, upsample_nearest_backward, upsample_nearest_forward
 from .loss import FeatureExtractor, StyleTarget, total_loss
 from .norms import DEFAULT_EPS
 from .tensor import RngStream
@@ -56,13 +64,23 @@ def _check_unit(unit, x):
     return f, ((arr, idx, grad[idx]) for arr, grad in pairs for idx in np.ndindex(arr.shape))
 
 
-def _conv(padding_mode):
+def _conv(padding_mode, unit=ConvUnit, side=4):
     rng = RngStream(7)
-    x = rng.normal((1, 2, 4, 4))
+    x = rng.normal((1, 2, side, side))
     params = ConvParams(
         rng.normal((2, 2, 3, 3)), rng.normal((2,)), stride=1, padding_mode=padding_mode, pad=1
     )
-    return ConvUnit("conv", params), x
+    return unit("conv", params), x
+
+
+class UpsampleUnit(ParameterFreeUnit):
+    """The plain nearest upsample x2; the generator runs it fused into a conv."""
+
+    def forward(self, x, mode):
+        return upsample_nearest_forward(x, 2), None
+
+    def backward(self, g, cache):
+        return upsample_nearest_backward(g, 2), {}
 
 
 def _relu():
@@ -116,6 +134,7 @@ _CHECKS = {
     "conv_reflect": lambda: _check_unit(*_conv("reflect")),
     "relu": lambda: _check_unit(*_relu()),
     "upsample": lambda: _check_unit(UpsampleUnit("upsample"), RngStream(9).normal((1, 2, 3, 3))),
+    "upsample_conv": lambda: _check_unit(*_conv("reflect", UpsampleConvUnit, side=3)),
     "batch_norm": lambda: _check_unit(*_norm("batch")),
     "instance_norm": lambda: _check_unit(*_norm("instance")),
     "generator": _check_generator,

@@ -1,4 +1,5 @@
-"""Differentiable building blocks: convolution, ReLU, nearest upsampling.
+"""Differentiable building blocks: convolution, ReLU, nearest upsampling,
+and nearest-upsample x2 fused with the 3x3 conv that follows it.
 
 Every forward returns ``(output, cache)``; the matching backward consumes
 the cache and returns exact gradients of the forward map. Convolution is
@@ -15,6 +16,16 @@ out as one ``(T, OW*OH, C_in*K*K)`` stack and multiplies it by the
 instance. The backward's input-gradient columns come out as
 ``(T, C_in, K, K, OW, OH)``, so each of the ``K*K`` strided slice-adds into
 the padded gradient reads contiguous ``(OW, OH)`` planes.
+
+The fused upsample-conv computes ``conv2d(upsample_nearest(x, 2))`` for a
+3x3, stride-1, pad-1 kernel without building the upsampled map. Each output
+pixel of one parity (phase) along an axis sees two distinct low-res
+pixels: phase 0 weights them ``(w0, w1 + w2)``, phase 1 ``(w0 + w1, w2)``.
+So the layer is four 2x2 convolutions on the low-res map padded by 1,
+whose outputs interleave into the high-res result. Reflect padding at the
+high resolution repeats the edge pixel at the low resolution; zero padding
+stays zero. The patch stack is ``(T, 4, C_in*4, W*H)``, one GEMM per instance
+and phase; the backward scatters its input gradient with 16 slice-adds.
 """
 
 from __future__ import annotations
@@ -73,6 +84,13 @@ class ConvCache:
 
 
 @dataclass
+class UpsampleConvCache:
+    cols: np.ndarray  # (T, 4, C_in*4, W*H): one 2x2 patch matrix per instance and phase
+    in_shape: tuple
+    out_shape: tuple
+
+
+@dataclass
 class ReluCache:
     x: np.ndarray
 
@@ -121,6 +139,20 @@ def _fold_reflect(g: np.ndarray, pad: int, axis: int) -> np.ndarray:
     out = g[rows(pad, pad + n)].copy()
     out[rows(1, pad + 1)] += g[rows(pad - 1, None, -1)]
     out[rows(n - 1 - pad, n - 1)] += g[rows(n + 2 * pad - 1, n + pad - 1, -1)]
+    return out
+
+
+def _fold_edge(g: np.ndarray, axis: int) -> np.ndarray:
+    # adjoint of edge padding by 1 along one axis: each border row adds onto
+    # the edge row it copied (both onto row 0 when the axis has one row)
+    n = g.shape[axis] - 2
+
+    def row(*s):
+        return (slice(None),) * axis + (slice(*s),)
+
+    out = g[row(1, n + 1)].copy()
+    out[row(0, 1)] += g[row(0, 1)]
+    out[row(n - 1, n)] += g[row(n + 1, n + 2)]
     return out
 
 
@@ -245,3 +277,89 @@ def upsample_nearest_backward(grad_out: Tensor4, factor: int) -> Tensor4:
     for i in range(1, factor):
         out = out + rows[..., i::factor, :]
     return out
+
+
+# along one axis of a nearest x2 upsample, 2x2 tap d of phase a sums the 3x3
+# taps k with _AXIS_TAPS[a, d, k] == 1: phase 0 sees (w0, w1 + w2), phase 1
+# (w0 + w1, w2). _PHASE_TAPS[(a, b, d, e), (k, l)] applies it along both axes,
+# so the 2x2 weights of every phase are one small GEMM away from the 3x3 ones.
+_AXIS_TAPS = np.array([[[1, 0, 0], [0, 1, 1]], [[1, 1, 0], [0, 0, 1]]], dtype=np.float64)
+_PHASE_TAPS = np.einsum("adk,bel->abdekl", _AXIS_TAPS, _AXIS_TAPS).reshape(16, 9)
+
+
+def _phase_weights(w: np.ndarray) -> np.ndarray:
+    # (C_out, C_in, 3, 3) -> (4, C_out, C_in*4), phases ordered (a, b)
+    c_out, c_in = w.shape[:2]
+    pw = (w.reshape(c_out * c_in, 9) @ _PHASE_TAPS.T).reshape(c_out, c_in, 4, 4)
+    return pw.transpose(2, 0, 1, 3).reshape(4, c_out, c_in * 4)
+
+
+def upsample_conv_forward(x: Tensor4, p: ConvParams) -> tuple[Tensor4, UpsampleConvCache]:
+    """``conv2d_forward(upsample_nearest_forward(x, 2), p)`` for a 3x3, stride-1, pad-1 ``p``.
+
+    Output is ``(T, C_out, 2W, 2H)``; no upsampled tensor is built.
+    """
+    require_tensor4(x, "x")
+    c_out, c_in, k, _ = p.weights.shape
+    if (k, p.stride, p.pad) != (3, 1, 1):
+        raise InvalidArgument(
+            f"upsample-conv needs a 3x3 kernel, stride 1 and pad 1, got "
+            f"{k}x{k}, stride {p.stride}, pad {p.pad}"
+        )
+    if x.shape[1] != c_in:
+        raise ShapeMismatch(f"input has {x.shape[1]} channels, kernel expects {c_in}")
+    t_count, _, w, h = x.shape
+    # reflect at 2W mirrors onto the edge pixel's own copy, i.e. edge padding at W
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)),
+                mode="edge" if p.padding_mode == "reflect" else "constant")
+    s0, s1, s2, s3 = xp.strides
+    # (T, C, a, b, W, H, d, e): the 2x2 window of phase (a, b) starts at (a, b)
+    win = as_strided(xp, shape=(t_count, c_in, 2, 2, w, h, 2, 2),
+                     strides=(s0, s1, s2, s3, s2, s3, s2, s3), writeable=False)
+    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 6, 7, 4, 5)).reshape(
+        t_count, 4, c_in * 4, w * h
+    )
+    # one GEMM per (instance, phase), as in conv2d_forward
+    y_ph = np.matmul(_phase_weights(p.weights), cols)
+    y = np.ascontiguousarray(
+        y_ph.reshape(t_count, 2, 2, c_out, w, h).transpose(0, 3, 4, 1, 5, 2)
+    ).reshape(t_count, c_out, 2 * w, 2 * h)
+    if p.bias is not None:
+        y += p.bias[None, :, None, None]
+    return y, UpsampleConvCache(cols=cols, in_shape=x.shape, out_shape=y.shape)
+
+
+def upsample_conv_backward(
+    grad_out: Tensor4, cache: UpsampleConvCache, p: ConvParams
+) -> tuple[Tensor4, np.ndarray, np.ndarray | None]:
+    """Gradients of upsample_conv_forward w.r.t. input, weights, and bias."""
+    if not isinstance(cache, UpsampleConvCache):
+        raise MissingForward("upsample_conv_backward called without a forward cache")
+    if grad_out.shape != cache.out_shape:
+        raise ShapeMismatch(
+            f"grad_out shape {grad_out.shape} != forward output {cache.out_shape}"
+        )
+    c_out, c_in = p.weights.shape[:2]
+    t_count, _, w, h = cache.in_shape
+
+    grad_b = grad_out.sum(axis=(0, 2, 3)) if p.bias is not None else None
+    # (T, 4, C_out, W*H): the output gradient of each phase (a, b)
+    g_ph = np.ascontiguousarray(
+        grad_out.reshape(t_count, c_out, w, 2, h, 2).transpose(0, 3, 5, 1, 2, 4)
+    ).reshape(t_count, 4, c_out, w * h)
+    grad_pw = np.matmul(g_ph, cache.cols.transpose(0, 1, 3, 2)).sum(axis=0)
+    # adjoint of the tap sums: (4, C_out, C_in*4) back to (C_out, C_in, 3, 3)
+    grad_pw = grad_pw.reshape(4, c_out * c_in, 4).transpose(1, 0, 2).reshape(c_out * c_in, 16)
+    grad_w = (grad_pw @ _PHASE_TAPS).reshape(p.weights.shape)
+    # (T, a, b, C_in, d, e, W, H): contiguous (W, H) planes per channel
+    gcols = np.matmul(_phase_weights(p.weights).transpose(0, 2, 1), g_ph).reshape(
+        t_count, 2, 2, c_in, 2, 2, w, h
+    )
+
+    # 2x2 tap (d, e) of phase (a, b) read the padded input at offset (a+d, b+e)
+    gxp = np.zeros((t_count, c_in, w + 2, h + 2))
+    for a, b, d, e in np.ndindex(2, 2, 2, 2):
+        gxp[:, :, a + d : a + d + w, b + e : b + e + h] += gcols[:, a, b, :, d, e]
+    if p.padding_mode == "zero":
+        return gxp[:, :, 1 : w + 1, 1 : h + 1].copy(), grad_w, grad_b
+    return _fold_edge(_fold_edge(gxp, 2), 3), grad_w, grad_b

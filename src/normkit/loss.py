@@ -126,21 +126,22 @@ class FeatureExtractor:
 
     @classmethod
     def from_entries(cls, entries: dict[str, np.ndarray]) -> "FeatureExtractor":
-        n = _counts(entries, "meta.blocks")[0]
+        n = weightfile.entry_counts(entries, "meta.blocks")[0]
         units = []
         for i in range(1, n + 1):
             try:
-                w = entries[f"block{i}.w"]
+                # a copy, so the extractor owns its weights
+                w = entries[f"block{i}.w"].copy()
             except KeyError:
                 raise FormatError(f"missing extractor entry block{i}.w")
             if not np.isfinite(w).all():
                 raise FormatError(f"entry 'block{i}.w' holds non-finite values")
-            stride = _counts(entries, f"block{i}.stride")[0]
+            stride = weightfile.entry_counts(entries, f"block{i}.stride")[0]
             k = w.shape[2]
             params = ConvParams(w, None, stride=stride, padding_mode="reflect", pad=(k - 1) // 2)
             units += [ConvUnit(f"phi{i}_conv", params), ReluUnit(f"phi{i}_relu")]
-        style_taps = _counts(entries, "meta.style_taps")
-        content_tap = _counts(entries, "meta.content_tap")[0]
+        style_taps = weightfile.entry_counts(entries, "meta.style_taps")
+        content_tap = weightfile.entry_counts(entries, "meta.content_tap")[0]
         return cls(units=units, style_taps=style_taps, content_tap=content_tap)
 
     def save(self, path: str) -> None:
@@ -149,16 +150,6 @@ class FeatureExtractor:
     @classmethod
     def load(cls, path: str) -> "FeatureExtractor":
         return cls.from_entries(weightfile.load_entries(path))
-
-
-def _counts(entries: dict[str, np.ndarray], name: str) -> tuple[int, ...]:
-    """Every value of entry ``name`` as an int; each must be a whole number >= 1."""
-    if name not in entries:
-        raise FormatError(f"missing required entry {name!r}")
-    values = [float(v) for v in entries[name].ravel()]
-    if not all(v.is_integer() and v >= 1 for v in values):
-        raise FormatError(f"entry {name!r} holds {values!r}, expected whole numbers >= 1")
-    return tuple(int(v) for v in values)
 
 
 def gram(feature_map: Tensor4) -> np.ndarray:

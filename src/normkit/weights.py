@@ -95,3 +95,13 @@ def entry_scalar(entries: dict[str, np.ndarray], name: str) -> float:
         return float(entries[name].ravel()[0])
     except KeyError:
         raise FormatError(f"missing required entry {name!r}")
+
+
+def entry_counts(entries: dict[str, np.ndarray], name: str, minimum: int = 1) -> tuple[int, ...]:
+    """Every value of entry ``name`` as an int; each must be a whole number >= ``minimum``."""
+    if name not in entries:
+        raise FormatError(f"missing required entry {name!r}")
+    values = [float(v) for v in entries[name].ravel()]
+    if not all(v.is_integer() and v >= minimum for v in values):
+        raise FormatError(f"entry {name!r} holds {values!r}, expected whole numbers >= {minimum}")
+    return tuple(int(v) for v in values)

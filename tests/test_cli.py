@@ -235,6 +235,12 @@ class TestStylizeCommand:
         ("stem_conv.w", np.full((4, 4, 3, 3), np.nan)),  # non-finite weight
         ("down1_norm.running_var", np.full((1, 4, 1, 1), -1.0)),  # negative variance
         ("down1_norm.count", np.full((1, 1, 1, 1), np.nan)),  # non-finite count
+        ("meta.residual_blocks", np.full((1, 1, 1, 1), 1.7)),  # int() would truncate
+        ("meta.noise_channels", np.full((1, 1, 1, 1), 1.2)),  # int() would truncate
+        ("meta.base_channels", np.full((1, 1, 1, 1), 8.9)),  # int() would truncate
+        ("down1_norm.count", np.full((1, 1, 1, 1), 2.5)),  # fractional count
+        ("down1_norm.count", np.full((1, 1, 1, 1), -3.0)),  # negative count
+        ("meta.affine", np.full((1, 1, 1, 1), 0.5)),  # neither 0 nor 1
     ])
     def test_malformed_weight_entry_exit_3(self, dataset, tmp_path, capsys, name, value):
         from normkit.generator import GeneratorConfig, build
@@ -334,7 +340,7 @@ class TestGradcheckCommand:
     def test_default_passes(self, capsys):
         assert run_cli("gradcheck") == 0
         lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 7
+        assert len(lines) == 8  # seven layer subjects and the composite
         assert all(line.endswith("PASS") for line in lines)
 
     def test_unreachable_tolerance_fails(self):

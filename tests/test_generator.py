@@ -1,9 +1,10 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
 from normkit.errors import MissingForward, NotCalibrated, ShapeMismatch
-from normkit.generator import Generator, GeneratorConfig, build
+from normkit.generator import Generator, GeneratorConfig, UpsampleConvUnit, build
 from normkit.tensor import RngStream
 
 
@@ -45,9 +46,25 @@ class TestBuild:
 
     def test_zero_residual_blocks_skeleton_count(self):
         g = build(GeneratorConfig(residual_blocks=0), RngStream(1))
-        assert len(g.units) == 17
+        assert len(g.units) == 15
         g3 = build(GeneratorConfig(residual_blocks=3), RngStream(1))
-        assert len(g3.units) == 20
+        assert len(g3.units) == 18
+        # each decoder stage's upsample runs inside its conv
+        fused = {u.name for u in g.units if isinstance(u, UpsampleConvUnit)}
+        assert fused == {"up1_conv", "up2_conv"}
+
+    def test_fresh_parameters_match_recorded_checksum(self):
+        # names, shapes and bytes of a default build, recorded before the
+        # decoder's upsample and conv were fused; the weight file and the
+        # equal-initialization contract depend on all three
+        h = hashlib.sha256()
+        for name, value in build(GeneratorConfig(), RngStream(7)).parameters().items():
+            h.update(name.encode())
+            h.update(str(value.shape).encode())
+            h.update(value.tobytes())
+        assert h.hexdigest() == (
+            "11e12749e984948d03e272ff47443f8bd0b274f3ba74333e1fe18a0eea61abf0"
+        )
 
 
 class TestForward:

@@ -40,6 +40,10 @@ class TestGradcheckHarness:
         assert set(report.keys()) == {"upsample"}
         assert report["upsample"] < 1e-9
 
+    def test_upsample_conv_subject(self):
+        # the fused decoder layer, reflect mode, with a bias
+        assert gradcheck("upsample_conv")["upsample_conv"] < 1e-6
+
     @pytest.mark.parametrize("param", ["gamma", "beta"])
     @pytest.mark.parametrize("subject", ["batch_norm", "instance_norm"])
     def test_skewed_affine_gradient_caught(self, monkeypatch, subject, param):

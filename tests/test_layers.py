@@ -16,6 +16,8 @@ from normkit.layers import (
     conv2d_forward,
     relu_backward,
     relu_forward,
+    upsample_conv_backward,
+    upsample_conv_forward,
     upsample_nearest_backward,
     upsample_nearest_forward,
 )
@@ -206,6 +208,76 @@ class TestConvProperties:
         yu = float((y * u).sum())
         assert abs(yu - float((x * gx).sum())) < 1e-10
         assert abs(yu - float((p.weights * gw).sum())) < 1e-10
+
+
+def rel_err(a, ref):
+    return float(np.max(np.abs(a - ref))) / max(float(np.max(np.abs(ref))), 1e-300)
+
+
+@st.composite
+def upsample_conv_cases(draw):
+    """(x, params) for the fused layer, low-res sides down to 1."""
+    t, c_in, c_out = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    w, h = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rng = RngStream(draw(st.integers(0, 2**16)))
+    x = sample_gaussian(rng, (t, c_in, w, h))
+    p = make_conv(rng, c_out, c_in, 3, bias=draw(st.booleans()),
+                  padding_mode=draw(st.sampled_from(["zero", "reflect"])), pad=1)
+    return x, p
+
+
+class TestUpsampleConv:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(upsample_conv_cases())
+    def test_matches_upsample_then_conv(self, case):
+        x, p = case
+        y, cache = upsample_conv_forward(x, p)
+        ref, ref_cache = conv2d_forward(upsample_nearest_forward(x, 2), p)
+        assert y.shape == ref.shape
+        assert np.max(np.abs(y - ref)) <= 1e-12
+        g = sample_gaussian(RngStream(5), y.shape)
+        gx, gw, gb = upsample_conv_backward(g, cache, p)
+        gu, ref_gw, ref_gb = conv2d_backward(g, ref_cache, p)
+        assert rel_err(gx, upsample_nearest_backward(gu, 2)) <= 1e-12
+        assert rel_err(gw, ref_gw) <= 1e-12
+        if p.bias is None:
+            assert gb is None
+        else:
+            assert rel_err(gb, ref_gb) <= 1e-12
+
+    @pytest.mark.parametrize("size", [4, 6, 16])
+    @pytest.mark.parametrize("mode", ["zero", "reflect"])
+    def test_rows_bitwise_independent_of_batch(self, mode, size):
+        # with numpy's bundled OpenBLAS, one GEMM per phase over all
+        # instances rounds a row differently from its lone GEMM at 6x6
+        # (not at 4x4 or 16x16), so 6x6 fails if per-instance GEMMs go
+        rng = RngStream(43)
+        x = sample_gaussian(rng, (4, 16, size, size))
+        p = make_conv(rng, 16, 16, 3, bias=True, padding_mode=mode, pad=1)
+        y, cache = upsample_conv_forward(x, p)
+        g = sample_gaussian(rng, y.shape)
+        gx, _, _ = upsample_conv_backward(g, cache, p)
+        for t in range(4):
+            y_t, cache_t = upsample_conv_forward(x[t : t + 1].copy(), p)
+            gx_t, _, _ = upsample_conv_backward(g[t : t + 1].copy(), cache_t, p)
+            assert np.array_equal(y[t : t + 1], y_t)
+            assert np.array_equal(gx[t : t + 1], gx_t)
+
+    @pytest.mark.parametrize("k,stride,pad", [(1, 1, 0), (5, 1, 2), (3, 2, 1), (3, 1, 0)])
+    def test_other_geometry_rejected(self, k, stride, pad):
+        p = make_conv(RngStream(44), 2, 2, k, stride=stride, pad=pad)
+        with pytest.raises(InvalidArgument):
+            upsample_conv_forward(new_tensor((1, 2, 3, 3), 1.0), p)
+
+    def test_channel_mismatch(self):
+        p = make_conv(RngStream(45), 2, 3, 3, pad=1)
+        with pytest.raises(ShapeMismatch):
+            upsample_conv_forward(new_tensor((1, 2, 3, 3), 1.0), p)
+
+    def test_missing_cache(self):
+        p = make_conv(RngStream(46), 2, 2, 3, pad=1)
+        with pytest.raises(MissingForward):
+            upsample_conv_backward(np.zeros((1, 2, 4, 4)), None, p)
 
 
 class TestRelu:

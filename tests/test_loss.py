@@ -62,6 +62,17 @@ class TestExtractor:
             assert np.array_equal(f1[tap], f2[tap])
 
 
+    def test_from_entries_owns_its_weights(self):
+        # writing into a clone's weights must leave the source extractor alone
+        source = FeatureExtractor.seeded(seed=1001)
+        before = {name: value.copy() for name, value in source.to_entries().items()}
+        clone = FeatureExtractor.from_entries(source.to_entries())
+        for conv in clone.convs:
+            conv.params.weights[...] = 0.0
+        for name, value in source.to_entries().items():
+            assert np.array_equal(value, before[name]), name
+
+
 class TestGram:
     def test_all_ones(self):
         g = gram(new_tensor((1, 2, 2, 2), 1.0))
