@@ -83,8 +83,9 @@ def walk_forward(units: list, h: Tensor4, mode: str, taps=()) -> tuple[Tensor4, 
     """Run units in order; returns (output, caches, {i: output of unit i} for i in taps).
 
     Only a train walk keeps the units' caches. An eval walk returns none, so
-    each cache (a conv's im2col buffer above all) is freed once the next unit
-    has run, and a backward over an eval walk fails as a missing forward.
+    each cache (a norm's or ReLU's saved input; an eval conv keeps none) is
+    freed once the next unit has run, and a backward over an eval walk fails
+    as a missing forward.
     """
     caches, outs = [], {}
     for i, unit in enumerate(units):
@@ -127,14 +128,18 @@ class ConvUnit:
 
     @classmethod
     def he(cls, name, rng, c_in, c_out, stride, padding_mode, bias=True, k=3) -> "ConvUnit":
-        """He-initialized weights drawn from ``rng``; zero bias, or none."""
-        w = rng.normal((c_out, c_in, k, k)) * np.sqrt(2.0 / (c_in * k * k))
+        """He-initialized weights drawn from ``rng``; zero bias, or none.
+
+        With ``rng`` None the weights are zeros and nothing is drawn.
+        """
+        shape = (c_out, c_in, k, k)
+        w = np.zeros(shape) if rng is None else rng.normal(shape) * np.sqrt(2.0 / (c_in * k * k))
         b = np.zeros(c_out) if bias else None
         params = ConvParams(w, b, stride=stride, padding_mode=padding_mode, pad=(k - 1) // 2)
         return cls(name, params)
 
     def forward(self, x, mode):
-        return conv2d_forward(x, self.params)
+        return conv2d_forward(x, self.params, mode)
 
     def backward(self, g, cache):
         gx, gw, gb = conv2d_backward(g, cache, self.params)
@@ -152,7 +157,7 @@ class UpsampleConvUnit(ConvUnit):
     """Nearest upsample x2, then a 3x3 stride-1 conv, as one layer."""
 
     def forward(self, x, mode):
-        return upsample_conv_forward(x, self.params)
+        return upsample_conv_forward(x, self.params, mode)
 
     def backward(self, g, cache):
         gx, gw, gb = upsample_conv_backward(g, cache, self.params)
@@ -218,11 +223,9 @@ class ReluUnit(ParameterFreeUnit):
 
 class SigmoidUnit(ParameterFreeUnit):
     def forward(self, x, mode):
-        y = np.empty_like(x)
-        pos = x >= 0
-        y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        y[~pos] = ex / (1.0 + ex)
+        # exp of -|x| never overflows; both branches equal the logistic function
+        e = np.exp(-np.abs(x))
+        y = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
         return y, y
 
     def backward(self, g, cache):
@@ -356,10 +359,10 @@ class Generator:
                 config = replace(config, **{f.name: decoded})
             except (InvalidArgument, ValueError) as exc:
                 raise FormatError(f"entry {name!r} holds an invalid value {value!r}: {exc}")
-        g = build(config, RngStream(0))
-        # the fresh generator's own entries say which arrays the file must
-        # carry; each is the unit's live storage (a bias as a reshaped view),
-        # so copying into it loads the value. Only the counts are copies.
+        g = build(config, None)
+        # the skeleton's own entries say which arrays the file must carry;
+        # each is the unit's live storage (a bias as a reshaped view), so
+        # copying into it loads the value. Only the counts are copies.
         for name, live in g.to_entries().items():
             if name.startswith("meta."):
                 continue
@@ -387,11 +390,13 @@ class Generator:
         return cls.from_entries(weightfile.load_entries(path))
 
 
-def build(config: GeneratorConfig, rng: RngStream) -> Generator:
+def build(config: GeneratorConfig, rng: RngStream | None) -> Generator:
     """Construct a generator; conv weights depend only on (seed, layer order).
 
     Norm layers draw nothing from the stream, so generators built from the
-    same seed with different norm modes share conv weights bitwise.
+    same seed with different norm modes share conv weights bitwise. With
+    ``rng`` None every weight is zero and nothing is drawn: the skeleton a
+    loader fills.
     """
     cfg = config
     c1, c2, c3 = cfg.base_channels, 2 * cfg.base_channels, 4 * cfg.base_channels

@@ -10,12 +10,23 @@ it term by term. Two padding modes are supported:
 * ``reflect`` - mirror without repeating the edge pixel; backward folds
                 each mirrored border row and column back onto its source.
 
-Convolution is im2col plus GEMM. The forward lays every instance's patches
-out as one ``(T, OW*OH, C_in*K*K)`` stack and multiplies it by the
-``(C_out, C_in*K*K)`` kernel matrix with a stacked ``matmul``, one GEMM per
-instance. The backward's input-gradient columns come out as
-``(T, C_in, K, K, OW, OH)``, so each of the ``K*K`` strided slice-adds into
-the padded gradient reads contiguous ``(OW, OH)`` planes.
+Convolution is im2col plus GEMM. The patches of every instance form one
+``(T, OW*OH, C_in*K*K)`` stack, multiplied by the ``(C_out, C_in*K*K)``
+kernel matrix with a stacked ``matmul``, one GEMM per instance. The backward's
+input-gradient columns come out as ``(T, C_in, K, K, OW, OH)``, so each of the
+``K*K`` strided slice-adds into the padded gradient reads contiguous
+``(OW, OH)`` planes.
+
+Both forwards run one loop over bands of output rows (low-res rows for the
+fused layer): each band builds its patches and runs its own GEMMs, which read
+at most ``PATCH_BAND_BYTES`` of patches per instance. A train forward keeps
+every band in the full patch stack, the backward's cache; an eval forward
+reuses one band-sized buffer and returns no cache, so its patch memory no
+longer grows with the image. The band height
+depends only on one instance's geometry, never on the batch size or the mode,
+so every band GEMM sees the same operands in train and eval, batched or
+alone: eval output equals train output bitwise, and an instance's rows stay
+bitwise independent of its batch companions.
 
 The fused upsample-conv computes ``conv2d(upsample_nearest(x, 2))`` for a
 3x3, stride-1, pad-1 kernel without building the upsampled map. Each output
@@ -30,6 +41,7 @@ and phase; the backward scatters its input gradient with 16 slice-adds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +57,9 @@ from .errors import (
 from .tensor import Tensor4, require_tensor4
 
 PADDING_MODES = ("zero", "reflect")
+
+# one instance's patch bytes per band GEMM; a band is at least one row
+PATCH_BAND_BYTES = 1 << 20
 
 
 @dataclass
@@ -168,10 +183,46 @@ def _windows(xp: np.ndarray, kernel: int, stride: int, ow: int, oh: int) -> np.n
     )
 
 
-def conv2d_forward(x: Tensor4, p: ConvParams) -> tuple[Tensor4, ConvCache]:
+def _patch_bands(shape: tuple, axis: int, rows: int, mode: str):
+    """Split a ``(T, ...)`` patch stack into bands of whole output rows.
+
+    ``shape[axis]`` holds ``rows`` rows of patches. Returns ``(cols, bands)``,
+    where ``bands`` lists ``(r0, r1, patches, kept)``: rows ``[r0, r1)``, the
+    buffer their patches are built in and their GEMMs read, and the slice of
+    the full stack ``cols`` that train copies them into (None when
+    ``patches`` already is that slice, and in eval, where ``cols`` is None).
+    """
+    if mode not in ("train", "eval"):
+        raise InvalidArgument(f"mode must be 'train' or 'eval', got {mode!r}")
+    row_len = shape[axis] // rows
+    step = min(rows, max(1, PATCH_BAND_BYTES // (8 * math.prod(shape[1:]) // rows)))
+    band_shape = shape[:axis] + (step * row_len,) + shape[axis + 1 :]
+    cols = np.empty(shape) if mode == "train" else None
+    # train builds a band in place where that slice of ``cols`` has the band
+    # buffer's strides: one band, or a band of a leading axis. A band of the
+    # last axis has other strides, and BLAS can round differently for them
+    # (a strided ddot does), so train builds it in the band buffer too
+    in_place = cols is not None and (step == rows or axis < len(shape) - 1)
+    buf = cols if in_place else np.empty(band_shape)
+    bands = []
+    for r0 in range(0, rows, step):
+        r1 = min(r0 + step, rows)
+        band = (slice(None),) * axis + (slice(r0 * row_len, r1 * row_len),)
+        if in_place:
+            bands.append((r0, r1, cols[band], None))
+        else:
+            index = (slice(None),) * axis + (slice(0, (r1 - r0) * row_len),)
+            bands.append((r0, r1, buf[index], None if cols is None else cols[band]))
+    return cols, bands
+
+
+def conv2d_forward(
+    x: Tensor4, p: ConvParams, mode: str = "train"
+) -> tuple[Tensor4, ConvCache | None]:
     """Cross-correlate ``x`` with ``p.weights`` under the declared padding/stride.
 
     Output spatial size is floor((S + 2*pad - K) / stride) + 1 per dimension.
+    An eval forward returns no cache.
     """
     require_tensor4(x, "x")
     c_out, c_in, k, _ = p.weights.shape
@@ -181,21 +232,27 @@ def conv2d_forward(x: Tensor4, p: ConvParams) -> tuple[Tensor4, ConvCache]:
     wp, hp = xp.shape[2], xp.shape[3]
     if wp < k or hp < k:
         raise InvalidShape(f"padded spatial dims {wp}x{hp} smaller than kernel {k}")
+    t_count = x.shape[0]
     ow = (wp - k) // p.stride + 1
     oh = (hp - k) // p.stride + 1
     win = _windows(xp, k, p.stride, ow, oh)
     w_mat = p.weights.reshape(c_out, c_in * k * k)
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(
-        x.shape[0], ow * oh, c_in * k * k
-    )
-    # stacked matmul: one GEMM per instance. BLAS blocking varies with the
-    # matrix height, so one GEMM over all T*OW*OH rows would break instance
-    # norm's contract that a row is bitwise independent of its companions
-    y = np.matmul(w_mat, cols.transpose(0, 2, 1)).reshape(x.shape[0], c_out, ow, oh)
+    cols, bands = _patch_bands((t_count, ow * oh, c_in * k * k), 1, ow, mode)
+    y = np.empty((t_count, c_out, ow * oh))
+    for r0, r1, patches, _ in bands:
+        patches.reshape(t_count, r1 - r0, oh, c_in, k, k)[...] = win[:, :, r0:r1].transpose(
+            0, 2, 3, 1, 4, 5
+        )
+        # stacked matmul: one GEMM per instance. BLAS blocking varies with the
+        # matrix height, so one GEMM over all T*OW*OH rows would break instance
+        # norm's contract that a row is bitwise independent of its companions
+        np.matmul(w_mat, patches.transpose(0, 2, 1), out=y[:, :, r0 * oh : r1 * oh])
+    y = y.reshape(t_count, c_out, ow, oh)
     if p.bias is not None:
         y += p.bias[None, :, None, None]
-    cache = ConvCache(cols=cols, padded_shape=xp.shape, in_shape=x.shape, out_shape=y.shape)
-    return y, cache
+    if cols is None:
+        return y, None
+    return y, ConvCache(cols=cols, padded_shape=xp.shape, in_shape=x.shape, out_shape=y.shape)
 
 
 def conv2d_backward(
@@ -294,10 +351,13 @@ def _phase_weights(w: np.ndarray) -> np.ndarray:
     return pw.transpose(2, 0, 1, 3).reshape(4, c_out, c_in * 4)
 
 
-def upsample_conv_forward(x: Tensor4, p: ConvParams) -> tuple[Tensor4, UpsampleConvCache]:
+def upsample_conv_forward(
+    x: Tensor4, p: ConvParams, mode: str = "train"
+) -> tuple[Tensor4, UpsampleConvCache | None]:
     """``conv2d_forward(upsample_nearest_forward(x, 2), p)`` for a 3x3, stride-1, pad-1 ``p``.
 
-    Output is ``(T, C_out, 2W, 2H)``; no upsampled tensor is built.
+    Output is ``(T, C_out, 2W, 2H)``; no upsampled tensor is built. An eval
+    forward returns no cache.
     """
     require_tensor4(x, "x")
     c_out, c_in, k, _ = p.weights.shape
@@ -316,16 +376,24 @@ def upsample_conv_forward(x: Tensor4, p: ConvParams) -> tuple[Tensor4, UpsampleC
     # (T, C, a, b, W, H, d, e): the 2x2 window of phase (a, b) starts at (a, b)
     win = as_strided(xp, shape=(t_count, c_in, 2, 2, w, h, 2, 2),
                      strides=(s0, s1, s2, s3, s2, s3, s2, s3), writeable=False)
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 6, 7, 4, 5)).reshape(
-        t_count, 4, c_in * 4, w * h
-    )
-    # one GEMM per (instance, phase), as in conv2d_forward
-    y_ph = np.matmul(_phase_weights(p.weights), cols)
-    y = np.ascontiguousarray(
-        y_ph.reshape(t_count, 2, 2, c_out, w, h).transpose(0, 3, 4, 1, 5, 2)
-    ).reshape(t_count, c_out, 2 * w, 2 * h)
+    pw = _phase_weights(p.weights)
+    cols, bands = _patch_bands((t_count, 4, c_in * 4, w * h), 3, w, mode)
+    y = np.empty((t_count, c_out, 2 * w, 2 * h))
+    # (T, C_out, W, a, H, b): output pixel (2i + a, 2j + b) of phase (a, b)
+    y_split = y.reshape(t_count, c_out, w, 2, h, 2)
+    for r0, r1, patches, kept in bands:
+        patches.reshape(t_count, 2, 2, c_in, 2, 2, r1 - r0, h)[...] = (
+            win[:, :, :, :, r0:r1].transpose(0, 2, 3, 1, 6, 7, 4, 5)
+        )
+        if kept is not None:
+            kept[...] = patches
+        # one GEMM per (instance, phase), as in conv2d_forward
+        y_ph = np.matmul(pw, patches).reshape(t_count, 2, 2, c_out, r1 - r0, h)
+        y_split[:, :, r0:r1] = y_ph.transpose(0, 3, 4, 1, 5, 2)
     if p.bias is not None:
         y += p.bias[None, :, None, None]
+    if cols is None:
+        return y, None
     return y, UpsampleConvCache(cols=cols, in_shape=x.shape, out_shape=y.shape)
 
 

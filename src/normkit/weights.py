@@ -15,6 +15,7 @@ The save -> load round trip is bitwise lossless; entry order is preserved.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -76,8 +77,9 @@ def load_entries(path: str) -> dict[str, np.ndarray]:
         dims = struct.unpack("<4I", take(16, "dims"))
         if any(d < 1 for d in dims):
             raise FormatError(f"entry {name!r} has a zero dimension {dims}", offset=off - 16)
-        n = int(np.prod(dims, dtype=np.int64))
-        data = take(8 * n, f"payload of {name!r}")
+        # Python ints: an int64 product of four uint32 dims can wrap to a
+        # small number, which take() would then accept
+        data = take(8 * math.prod(dims), f"payload of {name!r}")
         arr = np.frombuffer(data, dtype="<f8").reshape(dims).astype(np.float64)
         entries[name] = arr
     if off != len(blob):

@@ -1,4 +1,5 @@
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -224,6 +225,22 @@ class TestStylizeCommand:
         code = run_cli("stylize", "--weights", out, "--input", paths[0],
                        "--output", str(tmp_path / "x.ppm"))
         assert code == 3
+
+    def test_overflowing_entry_dims_exit_3(self, weights, dataset, tmp_path, capsys):
+        # the int64 product of these dims wraps to 0
+        from normkit.weights import MAGIC
+
+        _, paths, _ = dataset
+        blob = bytearray(open(weights, "rb").read())
+        name_len = int.from_bytes(blob[len(MAGIC) + 4 : len(MAGIC) + 6], "little")
+        dims_at = len(MAGIC) + 6 + name_len
+        blob[dims_at : dims_at + 16] = struct.pack("<4I", 262144, 65536, 65536, 3489071104)
+        bad = str(tmp_path / "overflow.nrmk")
+        open(bad, "wb").write(bytes(blob))
+        code = run_cli("stylize", "--weights", bad, "--input", paths[0],
+                       "--output", str(tmp_path / "x.ppm"))
+        assert code == 3
+        assert f"byte offset {dims_at + 16}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name,value", [
         ("head_conv.b", np.zeros((1, 5, 1, 1))),  # bias of the wrong size

@@ -3,8 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from normkit import layers
 from normkit.errors import MissingForward, NotCalibrated, ShapeMismatch
-from normkit.generator import Generator, GeneratorConfig, UpsampleConvUnit, build
+from normkit.generator import Generator, GeneratorConfig, SigmoidUnit, UpsampleConvUnit, build
 from normkit.tensor import RngStream
 
 
@@ -122,6 +123,23 @@ class TestForward:
         y_eval, _ = g.forward(x, z, mode="eval")
         assert np.array_equal(y_train, y_eval)
 
+    @pytest.mark.parametrize("size", [128, 256])
+    def test_instance_mode_eval_equals_train_in_bands(self, size):
+        # at these sizes the default budget splits every conv into bands
+        # (14 and 7 rows for head_conv); eval builds them one at a time
+        g = build(GeneratorConfig(norm_mode="instance"), RngStream(14))
+        x = content_like(5, size=size)
+        z = noise_for(g, x)
+        y_train, caches = g.forward(x, z, mode="train")
+        del caches
+        y_eval, _ = g.forward(x, z, mode="eval")
+        assert np.array_equal(y_train, y_eval)
+
+    def test_one_row_bands_keep_eval_equal_train_and_rows_independent(self, monkeypatch):
+        monkeypatch.setattr(layers, "PATCH_BAND_BYTES", 1)
+        self.test_instance_mode_eval_equals_train()
+        self.test_instance_mode_per_instance_independence()
+
     def test_batch_mode_eval_without_training_rejected(self):
         g = build(GeneratorConfig(norm_mode="batch"), RngStream(14))
         x = content_like(6)
@@ -174,6 +192,21 @@ class TestBackward:
                 tracemalloc.stop()
         assert peaks["eval"] < peaks["train"] / 2
 
+    def test_eval_forward_peak_memory_at_256_within_six_activations(self):
+        # an eval forward holds one band of patches per conv, never a
+        # full-image patch matrix, so its peak stays a few activations
+        g = build(GeneratorConfig(norm_mode="instance"), RngStream(21))
+        x = content_like(8, size=256)
+        z = noise_for(g, x)
+        activation = 8 * 8 * 256 * 256  # bytes of one (1, 8, 256, 256) float64 map
+        tracemalloc.start()
+        try:
+            g.forward(x, z, mode="eval")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * activation
+
     @pytest.mark.parametrize("norm_mode", ["none", "batch", "instance"])
     def test_sampled_parameter_gradients_match_fd(self, norm_mode):
         g = build(GeneratorConfig(norm_mode=norm_mode, residual_blocks=1), RngStream(21))
@@ -222,6 +255,26 @@ class TestBackward:
         assert not np.array_equal(outs["batch"], outs["instance"])
 
 
+class TestSigmoid:
+    def test_matches_two_branch_reference_bitwise(self):
+        def reference(x):
+            y = np.empty_like(x)
+            pos = x >= 0
+            y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+            ex = np.exp(x[~pos])
+            y[~pos] = ex / (1.0 + ex)
+            return y
+
+        tiny = np.finfo(np.float64).tiny
+        special = [0.0, np.inf, 709.0, 745.0, 1e308, tiny, tiny / 2, 5e-324, 1.0]
+        special = np.array(special + [-v for v in special])
+        x = np.concatenate([special, RngStream(24).normal(4096) * 20.0]).reshape(1, 1, 2, -1)
+        y, cache = SigmoidUnit("s").forward(x, "eval")
+        assert np.array_equal(y, reference(x))
+        assert np.array_equal(np.signbit(y), np.signbit(reference(x)))
+        assert cache is y
+
+
 class TestPersistence:
     @pytest.mark.parametrize("norm_mode,affine", [("instance", False), ("batch", True), ("none", False)])
     def test_round_trip(self, tmp_path, norm_mode, affine):
@@ -240,3 +293,18 @@ class TestPersistence:
         y1, _ = g.forward(x, z, mode=mode)
         y2, _ = clone.forward(x, z, mode=mode)
         assert np.array_equal(y1, y2)
+
+    def test_load_draws_nothing_and_round_trips(self, tmp_path, monkeypatch):
+        g = build(GeneratorConfig(norm_mode="batch"), RngStream(31))
+        x = content_like(11, t=2)
+        g.forward(x, noise_for(g, x), mode="train")
+        first, second = str(tmp_path / "a.nrmk"), str(tmp_path / "b.nrmk")
+        g.save(first)
+        draws = []
+        original = RngStream.normal
+        monkeypatch.setattr(RngStream, "normal",
+                            lambda self, shape: draws.append(shape) or original(self, shape))
+        Generator.load(first).save(second)
+        assert draws == []
+        with open(first, "rb") as a, open(second, "rb") as b:
+            assert a.read() == b.read()

@@ -4,6 +4,7 @@ from helpers import fd_grad, max_rel_err, naive_conv2d
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from normkit import layers
 from normkit.errors import (
     InvalidArgument,
     InvalidPadding,
@@ -191,23 +192,27 @@ def conv_cases(draw):
     return x, p
 
 
+def check_conv_oracle_and_adjoint(x, p):
+    y, _ = conv2d_forward(x, p)
+    ref = naive_conv2d(x, p.weights, p.bias, p.stride, p.pad, p.padding_mode)
+    assert np.max(np.abs(y - ref)) <= 1e-12
+    assert np.array_equal(conv2d_forward(x, p, "eval")[0], y)
+    # <L(x), u> == <x, L^T(u)> and == <w, dL/dw . u> for the bias-free map
+    linear = ConvParams(p.weights, None, stride=p.stride, padding_mode=p.padding_mode,
+                        pad=p.pad)
+    y, cache = conv2d_forward(x, linear)
+    u = sample_gaussian(RngStream(5), y.shape)
+    gx, gw, _ = conv2d_backward(u, cache, linear)
+    yu = float((y * u).sum())
+    assert abs(yu - float((x * gx).sum())) < 1e-10
+    assert abs(yu - float((p.weights * gw).sum())) < 1e-10
+
+
 class TestConvProperties:
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(conv_cases())
     def test_matches_oracle_and_adjoint(self, case):
-        x, p = case
-        y, _ = conv2d_forward(x, p)
-        ref = naive_conv2d(x, p.weights, p.bias, p.stride, p.pad, p.padding_mode)
-        assert np.max(np.abs(y - ref)) <= 1e-12
-        # <L(x), u> == <x, L^T(u)> and == <w, dL/dw . u> for the bias-free map
-        linear = ConvParams(p.weights, None, stride=p.stride, padding_mode=p.padding_mode,
-                            pad=p.pad)
-        y, cache = conv2d_forward(x, linear)
-        u = sample_gaussian(RngStream(5), y.shape)
-        gx, gw, _ = conv2d_backward(u, cache, linear)
-        yu = float((y * u).sum())
-        assert abs(yu - float((x * gx).sum())) < 1e-10
-        assert abs(yu - float((p.weights * gw).sum())) < 1e-10
+        check_conv_oracle_and_adjoint(*case)
 
 
 def rel_err(a, ref):
@@ -226,24 +231,28 @@ def upsample_conv_cases(draw):
     return x, p
 
 
+def check_upsample_conv_matches_upsample_then_conv(x, p):
+    y, cache = upsample_conv_forward(x, p)
+    ref, ref_cache = conv2d_forward(upsample_nearest_forward(x, 2), p)
+    assert y.shape == ref.shape
+    assert np.max(np.abs(y - ref)) <= 1e-12
+    assert np.array_equal(upsample_conv_forward(x, p, "eval")[0], y)
+    g = sample_gaussian(RngStream(5), y.shape)
+    gx, gw, gb = upsample_conv_backward(g, cache, p)
+    gu, ref_gw, ref_gb = conv2d_backward(g, ref_cache, p)
+    assert rel_err(gx, upsample_nearest_backward(gu, 2)) <= 1e-12
+    assert rel_err(gw, ref_gw) <= 1e-12
+    if p.bias is None:
+        assert gb is None
+    else:
+        assert rel_err(gb, ref_gb) <= 1e-12
+
+
 class TestUpsampleConv:
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(upsample_conv_cases())
     def test_matches_upsample_then_conv(self, case):
-        x, p = case
-        y, cache = upsample_conv_forward(x, p)
-        ref, ref_cache = conv2d_forward(upsample_nearest_forward(x, 2), p)
-        assert y.shape == ref.shape
-        assert np.max(np.abs(y - ref)) <= 1e-12
-        g = sample_gaussian(RngStream(5), y.shape)
-        gx, gw, gb = upsample_conv_backward(g, cache, p)
-        gu, ref_gw, ref_gb = conv2d_backward(g, ref_cache, p)
-        assert rel_err(gx, upsample_nearest_backward(gu, 2)) <= 1e-12
-        assert rel_err(gw, ref_gw) <= 1e-12
-        if p.bias is None:
-            assert gb is None
-        else:
-            assert rel_err(gb, ref_gb) <= 1e-12
+        check_upsample_conv_matches_upsample_then_conv(*case)
 
     @pytest.mark.parametrize("size", [4, 6, 16])
     @pytest.mark.parametrize("mode", ["zero", "reflect"])
@@ -278,6 +287,99 @@ class TestUpsampleConv:
         p = make_conv(RngStream(46), 2, 2, 3, pad=1)
         with pytest.raises(MissingForward):
             upsample_conv_backward(np.zeros((1, 2, 4, 4)), None, p)
+
+
+class TestBandedPath:
+    """The oracle, adjoint and batch-independence contracts with every layer
+    split into bands of one output row, and bands of several rows checked
+    against one band."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def one_row_bands(self):
+        # a budget below any row's patch bytes leaves one row per band
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(layers, "PATCH_BAND_BYTES", 1)
+            yield
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(conv_cases())
+    def test_conv_matches_oracle_and_adjoint(self, case):
+        check_conv_oracle_and_adjoint(*case)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(upsample_conv_cases())
+    def test_upsample_conv_matches_upsample_then_conv(self, case):
+        check_upsample_conv_matches_upsample_then_conv(*case)
+
+    @pytest.mark.parametrize("size", [8, 32])
+    @pytest.mark.parametrize("mode", ["zero", "reflect"])
+    def test_conv_rows_bitwise_independent_of_batch(self, mode, size):
+        TestConvBackward().test_rows_bitwise_independent_of_batch(mode, size)
+
+    @pytest.mark.parametrize("size", [4, 6, 16])
+    @pytest.mark.parametrize("mode", ["zero", "reflect"])
+    def test_upsample_conv_rows_bitwise_independent_of_batch(self, mode, size):
+        TestUpsampleConv().test_rows_bitwise_independent_of_batch(mode, size)
+
+    @pytest.mark.parametrize("forward,k,stride,pad,side,row_bytes", [
+        # conv: OH * C_in * K * K * 8 per output row; fused: 4 * C_in * 4 * H * 8
+        (conv2d_forward, 3, 1, 1, 11, 13 * 3 * 9 * 8),
+        (conv2d_forward, 3, 2, 1, 11, 7 * 3 * 9 * 8),
+        (conv2d_forward, 1, 1, 0, 11, 13 * 3 * 8),
+        (upsample_conv_forward, 3, 1, 1, 11, 4 * 3 * 4 * 13 * 8),
+    ])
+    def test_bands_of_three_rows_match_one_band(self, monkeypatch, forward, k, stride, pad, side,
+                                                row_bytes):
+        rng = RngStream(47)
+        x = sample_gaussian(rng, (2, 3, side, 13))
+        p = make_conv(rng, 4, 3, k, stride=stride, padding_mode="reflect", pad=pad)
+        y_one, cache_one = forward(x, p)
+        monkeypatch.setattr(layers, "PATCH_BAND_BYTES", 3 * row_bytes - 1)  # bands of 2
+        y_two, _ = forward(x, p)
+        monkeypatch.setattr(layers, "PATCH_BAND_BYTES", 3 * row_bytes)
+        y_train, cache = forward(x, p, "train")
+        y_eval, cache_eval = forward(x, p, "eval")
+        assert cache_eval is None
+        # train keeps the whole patch stack, so the backward's operands do not change
+        assert np.array_equal(cache.cols, cache_one.cols)
+        assert np.array_equal(y_eval, y_train)
+        assert np.max(np.abs(y_train - y_one)) <= 1e-12
+        assert np.max(np.abs(y_two - y_one)) <= 1e-12
+
+    @pytest.mark.parametrize("rest,axis", [
+        ((11 * 13, 27), 1),  # conv: (T, OW*OH, C_in*K*K), 11 rows of 13 patches of 27 values
+        ((4, 12, 11 * 13), 3),  # fused: (T, 4, C_in*4, W*H), C_in = 3, W = 11, H = 13
+    ])
+    def test_band_heights_follow_one_instances_row_bytes(self, monkeypatch, rest, axis):
+        # 3 rows per band; the batch size and the mode leave the partition
+        # and every band GEMM's operand layout unchanged
+        monkeypatch.setattr(layers, "PATCH_BAND_BYTES", 3 * 8 * int(np.prod(rest)) // 11)
+        layouts = set()
+        for t_count, mode in ((1, "train"), (4, "train"), (1, "eval"), (4, "eval")):
+            cols, bands = layers._patch_bands((t_count,) + rest, axis, 11, mode)
+            assert [(r0, r1) for r0, r1, _, _ in bands] == [(0, 3), (3, 6), (6, 9), (9, 11)]
+            assert (cols is None) == (mode == "eval")
+            for r0, r1, patches, kept in bands:
+                layouts.add((r1 - r0, patches.shape[1:], patches.strides[1:]))
+                if kept is not None:
+                    assert kept.shape == patches.shape
+        assert len(layouts) == 2  # one for the bands of 3 rows, one for the last band
+
+    def test_eval_cache_rejected_by_backward(self):
+        rng = RngStream(48)
+        x = sample_gaussian(rng, (1, 2, 4, 4))
+        p = make_conv(rng, 2, 2, 3, pad=1)
+        for forward, backward in ((conv2d_forward, conv2d_backward),
+                                  (upsample_conv_forward, upsample_conv_backward)):
+            y, cache = forward(x, p, "eval")
+            with pytest.raises(MissingForward):
+                backward(np.zeros_like(y), cache, p)
+
+    def test_unknown_mode_rejected(self):
+        p = make_conv(RngStream(49), 2, 2, 3, pad=1)
+        for forward in (conv2d_forward, upsample_conv_forward):
+            with pytest.raises(InvalidArgument):
+                forward(new_tensor((1, 2, 4, 4), 1.0), p, "test")
 
 
 class TestRelu:

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,21 @@ class TestErrors:
         blob[name_at] = 0xFF
         open(path, "wb").write(bytes(blob))
         with pytest.raises(FormatError, match=f"UTF-8 \\(byte offset {name_at}\\)"):
+            load_entries(path)
+
+    def test_dims_whose_int64_product_wraps_rejected_with_offset(self, tmp_path):
+        # sized as an int64 product these dims need 0 payload bytes, so the
+        # read would succeed and only the reshape would fail
+        dims = (262144, 65536, 65536, 3489071104)
+        assert int(np.prod(dims, dtype=np.int64)) == 0
+        path = str(tmp_path / "w.nrmk")
+        save_entries(path, {"ab": np.ones((1, 1, 1, 1))})
+        blob = bytearray(open(path, "rb").read())
+        dims_at = len(MAGIC) + 4 + 2 + 2  # after the count, the name length and "ab"
+        blob[dims_at : dims_at + 16] = struct.pack("<4I", *dims)
+        open(path, "wb").write(bytes(blob))
+        match = f"truncated while reading payload of 'ab' \\(byte offset {dims_at + 16}\\)"
+        with pytest.raises(FormatError, match=match):
             load_entries(path)
 
     def test_wrong_kind_files_rejected_cleanly(self, tmp_path):
