@@ -359,11 +359,25 @@ class Generator:
                 config = replace(config, **{f.name: decoded})
             except (InvalidArgument, ValueError) as exc:
                 raise FormatError(f"entry {name!r} holds an invalid value {value!r}: {exc}")
+        # the arrays fix the sizes: check them before a corrupt size builds the skeleton
+        if "stem_conv.w" not in entries:
+            raise FormatError("weight file missing entry 'stem_conv.w'")
+        stem = entries["stem_conv.w"].shape
+        blocks = len({name.split(".")[0] for name in entries if name.startswith("res")})
+        for key, size in (("base_channels", stem[0]), ("noise_channels", stem[1] - 3),
+                          ("residual_blocks", blocks)):
+            if getattr(config, key) != size:
+                raise FormatError(f"entry 'meta.{key}' is {getattr(config, key)}; 'stem_conv.w' "
+                                  f"of shape {stem} and {blocks} res blocks say {size}")
         g = build(config, None)
-        # the skeleton's own entries say which arrays the file must carry;
-        # each is the unit's live storage (a bias as a reshaped view), so
+        # the skeleton's own entries say which arrays the file must carry, and
+        # may carry; each is the unit's live storage (a bias as a reshaped view), so
         # copying into it loads the value. Only the counts are copies.
-        for name, live in g.to_entries().items():
+        skeleton = g.to_entries()
+        unexpected = [name for name in entries if name not in skeleton]
+        if unexpected:
+            raise FormatError(f"weight file has unexpected entry {unexpected[0]!r}")
+        for name, live in skeleton.items():
             if name.startswith("meta."):
                 continue
             if name not in entries:

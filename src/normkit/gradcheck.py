@@ -16,12 +16,11 @@ from .generator import (
     ConvUnit,
     GeneratorConfig,
     NormUnit,
-    ParameterFreeUnit,
     ReluUnit,
     UpsampleConvUnit,
     build,
 )
-from .layers import ConvParams, upsample_nearest_backward, upsample_nearest_forward
+from .layers import ConvParams
 from .loss import FeatureExtractor, StyleTarget, total_loss
 from .norms import DEFAULT_EPS
 from .tensor import RngStream
@@ -71,16 +70,6 @@ def _conv(padding_mode, unit=ConvUnit, side=4):
         rng.normal((2, 2, 3, 3)), rng.normal((2,)), stride=1, padding_mode=padding_mode, pad=1
     )
     return unit("conv", params), x
-
-
-class UpsampleUnit(ParameterFreeUnit):
-    """The plain nearest upsample x2; the generator runs it fused into a conv."""
-
-    def forward(self, x, mode):
-        return upsample_nearest_forward(x, 2), None
-
-    def backward(self, g, cache):
-        return upsample_nearest_backward(g, 2), {}
 
 
 def _relu():
@@ -133,7 +122,6 @@ _CHECKS = {
     "conv_zero": lambda: _check_unit(*_conv("zero")),
     "conv_reflect": lambda: _check_unit(*_conv("reflect")),
     "relu": lambda: _check_unit(*_relu()),
-    "upsample": lambda: _check_unit(UpsampleUnit("upsample"), RngStream(9).normal((1, 2, 3, 3))),
     "upsample_conv": lambda: _check_unit(*_conv("reflect", UpsampleConvUnit, side=3)),
     "batch_norm": lambda: _check_unit(*_norm("batch")),
     "instance_norm": lambda: _check_unit(*_norm("instance")),

@@ -168,11 +168,7 @@ def gram(feature_map: Tensor4) -> np.ndarray:
     flat = feature_map.reshape(c, w * h)
     products = flat[:, None, :] * flat[None, :, :]
     products = np.sort(products, axis=2)
-    if products.shape[2] == 1:
-        totals = products[:, :, 0]
-    else:
-        totals = np.add.accumulate(products, axis=2)[:, :, -1]
-    return totals / (w * h)
+    return np.add.accumulate(products, axis=2)[:, :, -1] / (w * h)
 
 
 def gram_backward(grad_g: np.ndarray, feature_map: Tensor4) -> Tensor4:

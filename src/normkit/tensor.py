@@ -91,10 +91,7 @@ def reduce(x: Tensor4, axes, kind: str = "sum") -> Tensor4:
     k = int(np.prod([x.shape[d] for d in kept], dtype=np.int64)) if kept else 1
     r = int(np.prod([x.shape[d] for d in reduced], dtype=np.int64))
     flat = block.reshape(k, r)
-    if r == 1:
-        total = flat[:, 0].copy()
-    else:
-        total = np.add.accumulate(flat, axis=1)[:, -1]
+    total = np.add.accumulate(flat, axis=1)[:, -1]
     if kind == "mean":
         total = total / r
     out_shape = tuple(1 if d in reduced else x.shape[d] for d in range(4))

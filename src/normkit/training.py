@@ -42,9 +42,6 @@ class TrainConfig:
     steps: int = 200
     batch_size: int = 4
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     alpha: float = DEFAULT_ALPHA
     beta: float = DEFAULT_BETA
     norm_mode: str = "instance"
@@ -229,10 +226,7 @@ def train(config: TrainConfig) -> tuple[Generator, RunReport]:
         report.losses.append(loss)
 
         grads = g.backward(grad_y, caches)
-        adam_step(
-            params, grads, state, config.learning_rate,
-            betas=(config.beta1, config.beta2), eps=config.adam_eps,
-        )
+        adam_step(params, grads, state, config.learning_rate)
 
     report.wall_time = time.perf_counter() - started
     report.param_checksum = parameter_checksum(g.parameters())

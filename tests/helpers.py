@@ -1,7 +1,8 @@
 """Shared oracles for the test suite.
 
 These stay deliberately naive and independent of the library's vectorized
-paths: direct nested-loop convolution, elementwise central differences.
+paths: direct nested-loop convolution and nearest upsampling, elementwise
+central differences.
 """
 
 import numpy as np
@@ -49,6 +50,26 @@ def naive_conv2d(x, weights, bias, stride, pad, padding_mode):
     return y
 
 
+def upsample_nearest(x, factor):
+    """Nearest upsampling: output pixel (i, j) copies input pixel (i // factor, j // factor)."""
+    T, C, W, H = x.shape
+    y = np.zeros((T, C, W * factor, H * factor))
+    for i in range(W * factor):
+        for j in range(H * factor):
+            y[:, :, i, j] = x[:, :, i // factor, j // factor]
+    return y
+
+
+def upsample_nearest_adjoint(g, factor):
+    """Adjoint of upsample_nearest: each input pixel sums its factor x factor block."""
+    T, C, W, H = g.shape
+    out = np.zeros((T, C, W // factor, H // factor))
+    for i in range(W):
+        for j in range(H):
+            out[:, :, i // factor, j // factor] += g[:, :, i, j]
+    return out
+
+
 def fd_grad(f, x, h=1e-5):
     """Central-difference gradient of scalar f() w.r.t. array x (mutated in place)."""
     g = np.zeros_like(x)
@@ -63,6 +84,14 @@ def fd_grad(f, x, h=1e-5):
         x[idx] = orig
         g[idx] = (fp - fm) / (2.0 * h)
     return g
+
+
+def flip_bit(entries, name, bit):
+    """A copy of weight-file ``entries`` with one bit of ``name``'s float64 payload flipped."""
+    flipped = dict(entries)
+    flipped[name] = entries[name].copy()
+    flipped[name].view(np.uint64)[...] ^= np.uint64(1 << bit)
+    return flipped
 
 
 def max_rel_err(analytic, numeric):

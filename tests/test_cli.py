@@ -3,7 +3,7 @@ import struct
 
 import numpy as np
 import pytest
-from helpers import make_fixture_image, write_fixture
+from helpers import flip_bit, make_fixture_image, write_fixture
 
 from normkit.cli import main
 from normkit.generator import Generator
@@ -242,6 +242,25 @@ class TestStylizeCommand:
         assert code == 3
         assert f"byte offset {dims_at + 16}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name,bit", [
+        ("meta.base_channels", 56),  # 8 -> 524288, once a MemoryError building the skeleton
+        ("meta.residual_blocks", 51),  # 3 -> 2, once loaded silently without res2.*
+    ])
+    def test_flipped_size_bit_exit_3(self, dataset, tmp_path, capsys, name, bit):
+        from normkit.generator import GeneratorConfig, build
+        from normkit.tensor import RngStream
+        from normkit.weights import save_entries
+
+        _, paths, _ = dataset
+        path = str(tmp_path / "gen.nrmk")
+        entries = build(GeneratorConfig(), RngStream(1)).to_entries()
+        save_entries(path, flip_bit(entries, name, bit))
+        code = run_cli("stylize", "--weights", path, "--input", paths[0],
+                       "--output", str(tmp_path / "x.ppm"))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(name) in err
+
     @pytest.mark.parametrize("name,value", [
         ("head_conv.b", np.zeros((1, 5, 1, 1))),  # bias of the wrong size
         ("stem_conv.w", np.zeros((4, 5, 3, 3))),  # weight of the wrong shape
@@ -346,18 +365,18 @@ class TestMiscSurface:
 
         env = dict(os.environ, NORMKIT_THREADS="1")
         result = subprocess.run(
-            [sys.executable, "-m", "normkit.cli", "gradcheck", "--subject", "upsample"],
+            [sys.executable, "-m", "normkit.cli", "gradcheck", "--subject", "relu"],
             capture_output=True, text=True, env=env,
         )
         assert result.returncode == 0
-        assert "upsample" in result.stdout and "PASS" in result.stdout
+        assert "relu" in result.stdout and "PASS" in result.stdout
 
 
 class TestGradcheckCommand:
     def test_default_passes(self, capsys):
         assert run_cli("gradcheck") == 0
         lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 8  # seven layer subjects and the composite
+        assert len(lines) == 7  # six layer subjects and the composite
         assert all(line.endswith("PASS") for line in lines)
 
     def test_unreachable_tolerance_fails(self):

@@ -3,8 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from helpers import flip_bit
 from normkit import layers
-from normkit.errors import MissingForward, NotCalibrated, ShapeMismatch
+from normkit.errors import FormatError, MissingForward, NotCalibrated, ShapeMismatch
 from normkit.generator import Generator, GeneratorConfig, SigmoidUnit, UpsampleConvUnit, build
 from normkit.tensor import RngStream
 
@@ -308,3 +309,29 @@ class TestPersistence:
         assert draws == []
         with open(first, "rb") as a, open(second, "rb") as b:
             assert a.read() == b.read()
+
+    def test_every_meta_bit_flip_loads_or_is_rejected(self):
+        # the decoded sizes are checked against the arrays before the skeleton
+        # is built: flipping bit 56 of meta.base_channels (8 -> 524288) once
+        # died building it, and bit 51 of meta.residual_blocks (3 -> 2) loaded
+        # a 2-block generator that ignored res2.*
+        entries = build(GeneratorConfig(norm_mode="batch"), RngStream(32)).to_entries()
+        meta = [name for name in entries if name.startswith("meta.")]
+        loaded = 0
+        for name in meta:
+            for bit in range(64):
+                try:
+                    Generator.from_entries(flip_bit(entries, name, bit))
+                    loaded += 1
+                except FormatError:
+                    pass
+        assert 0 < loaded < len(meta) * 64
+        for name, bit in [("meta.base_channels", 56), ("meta.residual_blocks", 51)]:
+            with pytest.raises(FormatError, match=name):
+                Generator.from_entries(flip_bit(entries, name, bit))
+
+    def test_unexpected_entry_rejected(self):
+        entries = build(GeneratorConfig(residual_blocks=1), RngStream(33)).to_entries()
+        entries["extra.w"] = np.zeros((1, 1, 1, 1))
+        with pytest.raises(FormatError, match="'extra.w'"):
+            Generator.from_entries(entries)

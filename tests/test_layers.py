@@ -1,6 +1,12 @@
 import numpy as np
 import pytest
-from helpers import fd_grad, max_rel_err, naive_conv2d
+from helpers import (
+    fd_grad,
+    max_rel_err,
+    naive_conv2d,
+    upsample_nearest,
+    upsample_nearest_adjoint,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,8 +25,6 @@ from normkit.layers import (
     relu_forward,
     upsample_conv_backward,
     upsample_conv_forward,
-    upsample_nearest_backward,
-    upsample_nearest_forward,
 )
 from normkit.tensor import RngStream, new_tensor, sample_gaussian
 
@@ -233,14 +237,14 @@ def upsample_conv_cases(draw):
 
 def check_upsample_conv_matches_upsample_then_conv(x, p):
     y, cache = upsample_conv_forward(x, p)
-    ref, ref_cache = conv2d_forward(upsample_nearest_forward(x, 2), p)
+    ref, ref_cache = conv2d_forward(upsample_nearest(x, 2), p)
     assert y.shape == ref.shape
     assert np.max(np.abs(y - ref)) <= 1e-12
     assert np.array_equal(upsample_conv_forward(x, p, "eval")[0], y)
     g = sample_gaussian(RngStream(5), y.shape)
     gx, gw, gb = upsample_conv_backward(g, cache, p)
     gu, ref_gw, ref_gb = conv2d_backward(g, ref_cache, p)
-    assert rel_err(gx, upsample_nearest_backward(gu, 2)) <= 1e-12
+    assert rel_err(gx, upsample_nearest_adjoint(gu, 2)) <= 1e-12
     assert rel_err(gw, ref_gw) <= 1e-12
     if p.bias is None:
         assert gb is None
@@ -417,14 +421,16 @@ class TestRelu:
 
 
 class TestUpsample:
+    """The nearest upsample in helpers.py, the fused layer's oracle."""
+
     def test_factor_one_identity(self):
         x = sample_gaussian(RngStream(8), (1, 2, 3, 3))
-        assert np.array_equal(upsample_nearest_forward(x, 1), x)
-        assert np.array_equal(upsample_nearest_backward(x, 1), x)
+        assert np.array_equal(upsample_nearest(x, 1), x)
+        assert np.array_equal(upsample_nearest_adjoint(x, 1), x)
 
     def test_hand_case(self):
         x = np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 1, 2, 2)
-        y = upsample_nearest_forward(x, 2)
+        y = upsample_nearest(x, 2)
         expect = np.array(
             [
                 [1, 1, 2, 2],
@@ -435,32 +441,33 @@ class TestUpsample:
             dtype=np.float64,
         ).reshape(1, 1, 4, 4)
         assert np.array_equal(y, expect)
-        back = upsample_nearest_backward(np.ones_like(y), 2)
+        back = upsample_nearest_adjoint(np.ones_like(y), 2)
         assert np.all(back == 4.0)
 
     def test_forward_then_backward_counts(self):
         x = new_tensor((2, 3, 4, 4), 1.0)
         for f in (2, 3):
-            y = upsample_nearest_forward(x, f)
-            assert np.all(upsample_nearest_backward(y, f) == f * f)
+            y = upsample_nearest(x, f)
+            assert np.all(upsample_nearest_adjoint(y, f) == f * f)
 
     @pytest.mark.parametrize("factor", [2, 3])
     def test_backward_matches_block_sum(self, factor):
         g = sample_gaussian(RngStream(10), (2, 3, 4 * factor, 2 * factor))
         blocks = g.reshape(2, 3, 4, factor, 2, factor).sum(axis=(3, 5))
-        back = upsample_nearest_backward(g, factor)
-        if factor == 2:  # same summation order, so bitwise
-            assert np.array_equal(back, blocks)
-        assert np.max(np.abs(back - blocks)) < 1e-12
+        assert np.max(np.abs(upsample_nearest_adjoint(g, factor) - blocks)) < 1e-12
 
     def test_adjoint_identity(self):
         rng = RngStream(9)
         x = sample_gaussian(rng, (1, 2, 3, 4))
-        y = upsample_nearest_forward(x, 2)
+        y = upsample_nearest(x, 2)
         u = sample_gaussian(rng, y.shape)
-        assert abs(float((y * u).sum()) - float((x * upsample_nearest_backward(u, 2)).sum())) < 1e-10
+        assert abs(float((y * u).sum()) - float((x * upsample_nearest_adjoint(u, 2)).sum())) < 1e-10
 
-    def test_bad_factor(self):
-        x = new_tensor((1, 1, 2, 2), 1.0)
-        with pytest.raises(InvalidArgument):
-            upsample_nearest_forward(x, 0)
+    def test_adjoint_matches_finite_differences(self):
+        x = sample_gaussian(RngStream(9), (1, 2, 3, 3))
+        probe = sample_gaussian(RngStream(11), (1, 2, 6, 6))
+
+        def f():
+            return float((upsample_nearest(x, 2) * probe).sum())
+
+        assert max_rel_err(upsample_nearest_adjoint(probe, 2), fd_grad(f, x)) < 1e-9

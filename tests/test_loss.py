@@ -92,6 +92,10 @@ class TestGram:
         shuffled = flat[:, :, perm].reshape(1, 3, 4, 5)
         assert np.array_equal(gram(f), gram(shuffled))
 
+    def test_one_site_is_the_outer_product(self):
+        v = np.array([-0.0, 1.5, -2.0])
+        assert gram(v.reshape(1, 3, 1, 1)).tobytes() == np.outer(v, v).tobytes()
+
     def test_symmetric_bitwise(self):
         g = gram(sample_gaussian(RngStream(6), (1, 5, 3, 3)))
         assert np.array_equal(g, g.T)

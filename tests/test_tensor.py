@@ -10,6 +10,7 @@ def seq_reduce_oracle(x, axes):
     axset = set(axes)
     out_shape = tuple(1 if a in axset else d for a, d in zip("TCWH", x.shape))
     out = np.zeros(out_shape)
+    seen = np.zeros(out_shape, dtype=bool)
     T, C, W, H = x.shape
     for t in range(T):
         for c in range(C):
@@ -21,7 +22,10 @@ def seq_reduce_oracle(x, axes):
                         0 if "W" in axset else w,
                         0 if "H" in axset else h,
                     )
-                    out[key] += x[t, c, w, h]
+                    # each sum starts from its first member, as np.add.accumulate does:
+                    # a one-member sum is that member, -0.0 included
+                    out[key] = out[key] + x[t, c, w, h] if seen[key] else x[t, c, w, h]
+                    seen[key] = True
     return out
 
 
@@ -68,10 +72,13 @@ class TestReduce:
         with pytest.raises(InvalidArgument):
             reduce(new_tensor((1, 1, 2, 2), 1.0), "", "sum")
 
-    @pytest.mark.parametrize("axes", ["T", "C", "W", "H", "WH", "TWH", "CW", "TCWH"])
-    def test_matches_sequential_oracle_bitwise(self, axes):
-        x = sample_gaussian(RngStream(99), (2, 3, 4, 5))
-        assert np.array_equal(reduce(x, axes, "sum"), seq_reduce_oracle(x, axes))
+    @pytest.mark.parametrize("axes,x", [
+        *(pytest.param(axes, sample_gaussian(RngStream(99), (2, 3, 4, 5)), id=axes)
+          for axes in ["T", "C", "W", "H", "WH", "TWH", "CW", "TCWH"]),
+        pytest.param("TWH", np.array([-0.0, 1.5, -2.0]).reshape(1, 3, 1, 1), id="one-member"),
+    ])
+    def test_matches_sequential_oracle_bitwise(self, axes, x):
+        assert reduce(x, axes, "sum").tobytes() == seq_reduce_oracle(x, axes).tobytes()
 
     @pytest.mark.parametrize("axes", ["WH", "TWH", "TCWH", "C"])
     def test_mean_is_sum_over_count_exactly(self, axes):
