@@ -2,8 +2,9 @@
 
 The writer emits exactly ``P6\\n<w> <h>\\n255\\n`` followed by the RGB
 payload. The reader is liberal in what it accepts: arbitrary whitespace
-between header tokens and ``#`` comments wherever whitespace may appear.
-Only maxval 255 is supported.
+between header tokens and ``#`` comments wherever whitespace may appear,
+except that exactly one whitespace byte follows maxval. Only maxval 255 is
+supported.
 
 Images convert to (1, 3, W, H) tensors by value/255 and back by
 round(clamp(v, 0, 1) * 255).
@@ -76,7 +77,12 @@ def read_ppm(path: str) -> ImageRGB:
         raise FormatError(f"bad dimensions {width}x{height}", offset=off)
     if maxval != 255:
         raise FormatError(f"unsupported maxval {maxval}, only 255", offset=off)
-    off += 1  # exactly one whitespace byte separates the header from the payload
+    # exactly one whitespace byte separates the header from the payload
+    if blob[off : off + 1] not in _WHITESPACE:
+        raise FormatError(
+            f"byte {blob[off : off + 1]!r} after maxval is not whitespace", offset=off
+        )
+    off += 1
     need = width * height * 3
     payload = blob[off : off + need]
     if len(payload) != need:

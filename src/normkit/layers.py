@@ -10,38 +10,37 @@ it term by term. Two padding modes are supported:
 * ``reflect`` - mirror without repeating the edge pixel; backward folds
                 each mirrored border row and column back onto its source.
 
-Convolution is im2col plus GEMM. The patches of every instance form one
-``(T, OW*OH, C_in*K*K)`` stack, multiplied by the ``(C_out, C_in*K*K)``
-kernel matrix with a stacked ``matmul``, one GEMM per instance. The backward's
-input-gradient columns come out as ``(T, C_in, K, K, OW, OH)``, so each of the
-``K*K`` strided slice-adds into the padded gradient reads contiguous
-``(OW, OH)`` planes.
+Both convolutions run on one im2col-plus-GEMM core over ``P = phases**2``
+phases of ``k x k`` windows; conv is the one-phase case. The fused layer
+convolves the nearest x2 upsample of ``x`` with a 3x3, stride-1, pad-1 kernel
+without building the upsampled map. Each output pixel of one parity (phase)
+along an axis sees two distinct low-res pixels: phase 0 weights them
+``(w0, w1 + w2)``, phase 1 ``(w0 + w1, w2)``. So the layer is four 2x2
+convolutions on the low-res map padded by 1, whose outputs interleave into
+the high-res result. Reflect padding at the high resolution repeats the edge
+pixel at the low resolution; zero padding stays zero.
 
-Both forwards run one loop over bands of output rows (low-res rows for the
-fused layer): each band builds its patches and runs its own GEMMs, which read
-at most ``PATCH_BAND_BYTES`` of patches per instance. A train forward keeps
-every band in the full patch stack, the backward's cache; an eval forward
-reuses one band-sized buffer and returns no cache, so its patch memory no
-longer grows with the image. The band height
-depends only on one instance's geometry, never on the batch size or the mode,
-so every band GEMM sees the same operands in train and eval, batched or
-alone: eval output equals train output bitwise, and an instance's rows stay
-bitwise independent of its batch companions.
+The core's patches are tap-major, ``(T, P, C_in*k*k, OW*OH)``: each copy
+reads contiguous rows of the padded input, and each phase's GEMM is
+``(C_out, C_in*k*k) @ (C_in*k*k, OW*OH)``, run by a stacked ``matmul`` as one
+GEMM per instance and phase. The backward's input-gradient columns come out
+in the same layout, so each of the ``P*k*k`` strided slice-adds into the
+padded gradient reads contiguous ``(OW, OH)`` planes.
 
-The fused upsample-conv convolves the nearest x2 upsample of ``x`` with a
-3x3, stride-1, pad-1 kernel without building the upsampled map. Each output
-pixel of one parity (phase) along an axis sees two distinct low-res
-pixels: phase 0 weights them ``(w0, w1 + w2)``, phase 1 ``(w0 + w1, w2)``.
-So the layer is four 2x2 convolutions on the low-res map padded by 1,
-whose outputs interleave into the high-res result. Reflect padding at the
-high resolution repeats the edge pixel at the low resolution; zero padding
-stays zero. The patch stack is ``(T, 4, C_in*4, W*H)``, one GEMM per instance
-and phase; the backward scatters its input gradient with 16 slice-adds.
+The forward runs one loop over bands of output rows (low-res rows for the
+fused layer). Each band is its own patch array of at most
+``PATCH_BAND_BYTES`` per instance and runs its own GEMMs. A train forward
+keeps the list of bands as the backward's cache; an eval forward drops each
+band after its GEMMs and returns no cache, so its patch memory does not grow
+with the image. The band height depends only on one instance's geometry,
+never on the batch size or the mode, so every band GEMM sees the same
+operands in train and eval, batched or alone: eval output equals train
+output bitwise, and an instance's rows stay bitwise independent of its batch
+companions.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,17 +91,10 @@ class ConvParams:
 
 @dataclass
 class ConvCache:
-    cols: np.ndarray  # (T, OW*OH, C_in*K*K): one patch matrix per instance
-    padded_shape: tuple
+    bands: list  # (T, P, C_in*k*k, rows*OH) tap-major patches, one array per band
+    window: tuple  # (phases, k, stride, pad, np.pad mode)
     in_shape: tuple
-    out_shape: tuple
-
-
-@dataclass
-class UpsampleConvCache:
-    cols: np.ndarray  # (T, 4, C_in*4, W*H): one 2x2 patch matrix per instance and phase
-    in_shape: tuple
-    out_shape: tuple
+    out_shape: tuple  # (T, C_out, phases*OW, phases*OH)
 
 
 @dataclass
@@ -110,39 +102,28 @@ class ReluCache:
     x: np.ndarray
 
 
-def _reflect_indices(size: int, pad: int) -> np.ndarray:
-    # position p in [-pad, size+pad) maps to its mirror inside [0, size)
-    p = np.arange(-pad, size + pad)
-    return np.where(p < 0, -p, np.where(p >= size, 2 * size - 2 - p, p))
-
-
-def _pad_input(x: Tensor4, pad: int, mode: str) -> np.ndarray:
+def _pad(x: Tensor4, pad: int, mode: str) -> np.ndarray:
+    # mode is np.pad's: "constant" (zeros), "reflect" or "edge"
     if pad == 0:
         return x
-    T, C, W, H = x.shape
-    if mode == "zero":
-        out = np.zeros((T, C, W + 2 * pad, H + 2 * pad), dtype=np.float64)
-        out[:, :, pad : pad + W, pad : pad + H] = x
-        return out
-    if pad > W - 1 or pad > H - 1:
+    if mode == "reflect" and pad > min(x.shape[2:]) - 1:
         raise InvalidPadding(
-            f"reflect pad {pad} needs pad <= W-1 and pad <= H-1, input is {W}x{H}"
+            f"reflect pad {pad} needs pad <= W-1 and pad <= H-1, input is "
+            f"{x.shape[2]}x{x.shape[3]}"
         )
-    iw = _reflect_indices(W, pad)
-    ih = _reflect_indices(H, pad)
-    return x[:, :, iw[:, None], ih[None, :]]
+    return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode=mode)
 
 
-def _unpad_grad(g_padded: np.ndarray, in_shape: tuple, pad: int, mode: str) -> Tensor4:
+def _unpad(g: np.ndarray, pad: int, mode: str) -> np.ndarray:
+    # adjoint of _pad
     if pad == 0:
-        return g_padded
-    T, C, W, H = in_shape
-    if mode == "zero":
-        return g_padded[:, :, pad : pad + W, pad : pad + H].copy()
-    return _fold(_fold(g_padded, pad, 2), pad, 3)
+        return g
+    if mode == "constant":
+        return g[:, :, pad:-pad, pad:-pad].copy()
+    return _fold(_fold(g, pad, 2, mode == "edge"), pad, 3, mode == "edge")
 
 
-def _fold(g: np.ndarray, pad: int, axis: int, edge: bool = False) -> np.ndarray:
+def _fold(g: np.ndarray, pad: int, axis: int, edge: bool) -> np.ndarray:
     # adjoint of reflect padding along one axis: keep the interior, then add
     # each mirrored border row onto its source (padded row pad-i mirrors row i,
     # row pad+n-1+i mirrors row n-1-i, for i in 1..pad). Edge padding by 1 is
@@ -159,49 +140,99 @@ def _fold(g: np.ndarray, pad: int, axis: int, edge: bool = False) -> np.ndarray:
     return out
 
 
-def _windows(xp: np.ndarray, kernel: int, stride: int, ow: int, oh: int) -> np.ndarray:
-    # view with shape (T, C, OW, OH, K, K); no copy
-    T, C = xp.shape[:2]
-    s0, s1, s2, s3 = xp.strides
-    return as_strided(
-        xp,
-        shape=(T, C, ow, oh, kernel, kernel),
-        strides=(s0, s1, s2 * stride, s3 * stride, s2, s3),
-        writeable=False,
-    )
+def _conv_window(p: ConvParams) -> tuple:
+    return (1, p.weights.shape[2], p.stride, p.pad,
+            "constant" if p.padding_mode == "zero" else "reflect")
 
 
-def _patch_bands(shape: tuple, axis: int, rows: int, mode: str):
-    """Split a ``(T, ...)`` patch stack into bands of whole output rows.
+def _patch_gemm(
+    x: Tensor4, window: tuple, w_ph: np.ndarray, bias: np.ndarray | None, mode: str
+) -> tuple[Tensor4, ConvCache | None]:
+    """Correlate ``x`` with every phase's ``(C_out, C_in*k*k)`` kernel matrix in ``w_ph``.
 
-    ``shape[axis]`` holds ``rows`` rows of patches. Returns ``(cols, bands)``,
-    where ``bands`` lists ``(r0, r1, patches, kept)``: rows ``[r0, r1)``, the
-    buffer their patches are built in and their GEMMs read, and the slice of
-    the full stack ``cols`` that train copies them into (None when
-    ``patches`` already is that slice, and in eval, where ``cols`` is None).
+    ``window`` is ``(phases, k, stride, pad, np.pad mode)``: the k x k windows
+    of phase ``(a, b)`` start at padded pixel ``(a, b)`` and step by
+    ``stride``, and window ``(i, j)`` gives output pixel
+    ``(phases*i + a, phases*j + b)``. Returns ``(T, C_out, phases*OW,
+    phases*OH)`` and the cache (None in eval).
     """
+    require_tensor4(x, "x")
     if mode not in ("train", "eval"):
         raise InvalidArgument(f"mode must be 'train' or 'eval', got {mode!r}")
-    row_len = shape[axis] // rows
-    step = min(rows, max(1, PATCH_BAND_BYTES // (8 * math.prod(shape[1:]) // rows)))
-    band_shape = shape[:axis] + (step * row_len,) + shape[axis + 1 :]
-    cols = np.empty(shape) if mode == "train" else None
-    # train builds a band in place where that slice of ``cols`` has the band
-    # buffer's strides: one band, or a band of a leading axis. A band of the
-    # last axis has other strides, and BLAS can round differently for them
-    # (a strided ddot does), so train builds it in the band buffer too
-    in_place = cols is not None and (step == rows or axis < len(shape) - 1)
-    buf = cols if in_place else np.empty(band_shape)
+    phases, k, stride, pad, pad_mode = window
+    c_out, taps = w_ph.shape[1:]
+    if x.shape[1] * k * k != taps:
+        raise ShapeMismatch(f"input has {x.shape[1]} channels, kernel expects {taps // (k * k)}")
+    xp = _pad(x, pad, pad_mode)
+    t_count, c_in, wp, hp = xp.shape
+    ow = (wp - phases + 1 - k) // stride + 1
+    oh = (hp - phases + 1 - k) // stride + 1
+    if ow < 1 or oh < 1:
+        raise InvalidShape(f"padded spatial dims {wp}x{hp} smaller than kernel {k}")
+    s0, s1, s2, s3 = xp.strides
+    # (T, C, a, b, OW, OH, d, e): no copy
+    win = as_strided(xp, shape=(t_count, c_in, phases, phases, ow, oh, k, k),
+                     strides=(s0, s1, s2, s3, s2 * stride, s3 * stride, s2, s3),
+                     writeable=False)
+    rows = min(ow, max(1, PATCH_BAND_BYTES // (8 * phases * phases * taps * oh)))
+    y = np.empty((t_count, phases * phases, c_out, ow * oh))
     bands = []
-    for r0 in range(0, rows, step):
-        r1 = min(r0 + step, rows)
-        band = (slice(None),) * axis + (slice(r0 * row_len, r1 * row_len),)
-        if in_place:
-            bands.append((r0, r1, cols[band], None))
-        else:
-            index = (slice(None),) * axis + (slice(0, (r1 - r0) * row_len),)
-            bands.append((r0, r1, buf[index], None if cols is None else cols[band]))
-    return cols, bands
+    for r0 in range(0, ow, rows):
+        r1 = min(r0 + rows, ow)
+        patches = np.empty((t_count, phases * phases, taps, (r1 - r0) * oh))
+        patches.reshape(t_count, phases, phases, c_in, k, k, r1 - r0, oh)[...] = (
+            win[:, :, :, :, r0:r1].transpose(0, 2, 3, 1, 6, 7, 4, 5)
+        )
+        # stacked matmul: one GEMM per (instance, phase). BLAS blocking varies
+        # with the matrix width, so one GEMM over all instances would break
+        # instance norm's contract that a row is bitwise independent of its
+        # companions
+        np.matmul(w_ph, patches, out=y[..., r0 * oh : r1 * oh])
+        if mode == "train":
+            bands.append(patches)
+    if bias is not None:
+        y += bias[:, None]
+    # interleave the phases (a view for one phase)
+    y = y.reshape(t_count, phases, phases, c_out, ow, oh).transpose(0, 3, 4, 1, 5, 2)
+    y = y.reshape(t_count, c_out, phases * ow, phases * oh)
+    return y, (ConvCache(bands, window, x.shape, y.shape) if mode == "train" else None)
+
+
+def _patch_gemm_backward(
+    grad_out: Tensor4, cache: ConvCache, window: tuple, w_ph: np.ndarray,
+    bias: np.ndarray | None,
+) -> tuple[Tensor4, np.ndarray, np.ndarray | None]:
+    """Gradients of ``_patch_gemm`` w.r.t. ``x``, ``w_ph`` and ``bias``."""
+    if not isinstance(cache, ConvCache) or cache.window != window:
+        raise MissingForward("backward called without the cache of its forward")
+    if grad_out.shape != cache.out_shape:
+        raise ShapeMismatch(
+            f"grad_out shape {grad_out.shape} != forward output {cache.out_shape}"
+        )
+    phases, k, stride, pad, pad_mode = window
+    t_count, c_in, w, h = cache.in_shape
+    c_out = w_ph.shape[1]
+    ow, oh = grad_out.shape[2] // phases, grad_out.shape[3] // phases
+    grad_b = grad_out.sum(axis=(0, 2, 3)) if bias is not None else None
+    # (T, P, C_out, OW*OH): the output gradient of each phase (a, b)
+    g = np.ascontiguousarray(
+        grad_out.reshape(t_count, c_out, ow, phases, oh, phases).transpose(0, 3, 5, 1, 2, 4)
+    ).reshape(t_count, phases * phases, c_out, ow * oh)
+    n = cache.bands[0].shape[3]  # every band but the last has n columns
+    grad_w = np.add.reduce([
+        np.matmul(g[..., i * n : (i + 1) * n], patches.transpose(0, 1, 3, 2)).sum(axis=0)
+        for i, patches in enumerate(cache.bands)
+    ])
+    # (T, a, b, C_in, d, e, OW, OH): contiguous (OW, OH) planes per channel
+    gcols = np.matmul(w_ph.transpose(0, 2, 1), g).reshape(
+        t_count, phases, phases, c_in, k, k, ow, oh
+    )
+    # tap (d, e) of phase (a, b) read the padded input at offset (a+d, b+e)
+    gxp = np.zeros((t_count, c_in, w + 2 * pad, h + 2 * pad))
+    s = stride
+    for a, b, d, e in np.ndindex(phases, phases, k, k):
+        gxp[:, :, a + d : a + d + ow * s : s, b + e : b + e + oh * s : s] += gcols[:, a, b, :, d, e]
+    return _unpad(gxp, pad, pad_mode), grad_w, grad_b
 
 
 def conv2d_forward(
@@ -212,66 +243,17 @@ def conv2d_forward(
     Output spatial size is floor((S + 2*pad - K) / stride) + 1 per dimension.
     An eval forward returns no cache.
     """
-    require_tensor4(x, "x")
-    c_out, c_in, k, _ = p.weights.shape
-    if x.shape[1] != c_in:
-        raise ShapeMismatch(f"input has {x.shape[1]} channels, kernel expects {c_in}")
-    xp = _pad_input(x, p.pad, p.padding_mode)
-    wp, hp = xp.shape[2], xp.shape[3]
-    if wp < k or hp < k:
-        raise InvalidShape(f"padded spatial dims {wp}x{hp} smaller than kernel {k}")
-    t_count = x.shape[0]
-    ow = (wp - k) // p.stride + 1
-    oh = (hp - k) // p.stride + 1
-    win = _windows(xp, k, p.stride, ow, oh)
-    w_mat = p.weights.reshape(c_out, c_in * k * k)
-    cols, bands = _patch_bands((t_count, ow * oh, c_in * k * k), 1, ow, mode)
-    y = np.empty((t_count, c_out, ow * oh))
-    for r0, r1, patches, _ in bands:
-        patches.reshape(t_count, r1 - r0, oh, c_in, k, k)[...] = win[:, :, r0:r1].transpose(
-            0, 2, 3, 1, 4, 5
-        )
-        # stacked matmul: one GEMM per instance. BLAS blocking varies with the
-        # matrix height, so one GEMM over all T*OW*OH rows would break instance
-        # norm's contract that a row is bitwise independent of its companions
-        np.matmul(w_mat, patches.transpose(0, 2, 1), out=y[:, :, r0 * oh : r1 * oh])
-    y = y.reshape(t_count, c_out, ow, oh)
-    if p.bias is not None:
-        y += p.bias[None, :, None, None]
-    if cols is None:
-        return y, None
-    return y, ConvCache(cols=cols, padded_shape=xp.shape, in_shape=x.shape, out_shape=y.shape)
+    w_mat = p.weights.reshape(1, p.weights.shape[0], -1)
+    return _patch_gemm(x, _conv_window(p), w_mat, p.bias, mode)
 
 
 def conv2d_backward(
     grad_out: Tensor4, cache: ConvCache, p: ConvParams
 ) -> tuple[Tensor4, np.ndarray, np.ndarray | None]:
     """Gradients of conv2d_forward w.r.t. input, weights, and bias."""
-    if not isinstance(cache, ConvCache):
-        raise MissingForward("conv2d_backward called without a forward cache")
-    if grad_out.shape != cache.out_shape:
-        raise ShapeMismatch(
-            f"grad_out shape {grad_out.shape} != forward output {cache.out_shape}"
-        )
-    c_out, c_in, k, _ = p.weights.shape
-    t_count, _, ow, oh = cache.out_shape
-    w_mat = p.weights.reshape(c_out, c_in * k * k)
-
-    grad_b = grad_out.sum(axis=(0, 2, 3)) if p.bias is not None else None
-    g_mat = grad_out.reshape(t_count, c_out, ow * oh)
-    grad_w = np.matmul(g_mat, cache.cols).sum(axis=0).reshape(p.weights.shape)
-    # (T, C_in, K, K, OW, OH): each kernel offset's gradient is a contiguous
-    # (OW, OH) plane per channel
-    gcols = np.matmul(w_mat.T, g_mat).reshape(t_count, c_in, k, k, ow, oh)
-
-    # scatter grad onto padded input: one strided slice-add per kernel offset
-    gxp = np.zeros(cache.padded_shape)
-    s = p.stride
-    for kw in range(k):
-        for kh in range(k):
-            gxp[:, :, kw : kw + ow * s : s, kh : kh + oh * s : s] += gcols[:, :, kw, kh]
-    grad_x = _unpad_grad(gxp, cache.in_shape, p.pad, p.padding_mode)
-    return grad_x, grad_w, grad_b
+    w_mat = p.weights.reshape(1, p.weights.shape[0], -1)
+    grad_x, grad_w, grad_b = _patch_gemm_backward(grad_out, cache, _conv_window(p), w_mat, p.bias)
+    return grad_x, grad_w.reshape(p.weights.shape), grad_b
 
 
 def relu_forward(x: Tensor4) -> tuple[Tensor4, ReluCache]:
@@ -306,86 +288,36 @@ def _phase_weights(w: np.ndarray) -> np.ndarray:
     return pw.transpose(2, 0, 1, 3).reshape(4, c_out, c_in * 4)
 
 
+def _upsample_window(p: ConvParams) -> tuple:
+    # reflect at 2W mirrors onto the edge pixel's own copy, i.e. edge padding at W
+    return (2, 2, 1, 1, "constant" if p.padding_mode == "zero" else "edge")
+
+
 def upsample_conv_forward(
     x: Tensor4, p: ConvParams, mode: str = "train"
-) -> tuple[Tensor4, UpsampleConvCache | None]:
+) -> tuple[Tensor4, ConvCache | None]:
     """``conv2d_forward`` of ``x`` upsampled nearest x2, for a 3x3, stride-1, pad-1 ``p``.
 
     Output is ``(T, C_out, 2W, 2H)``; no upsampled tensor is built. An eval
     forward returns no cache.
     """
-    require_tensor4(x, "x")
-    c_out, c_in, k, _ = p.weights.shape
+    k = p.weights.shape[2]
     if (k, p.stride, p.pad) != (3, 1, 1):
         raise InvalidArgument(
             f"upsample-conv needs a 3x3 kernel, stride 1 and pad 1, got "
             f"{k}x{k}, stride {p.stride}, pad {p.pad}"
         )
-    if x.shape[1] != c_in:
-        raise ShapeMismatch(f"input has {x.shape[1]} channels, kernel expects {c_in}")
-    t_count, _, w, h = x.shape
-    # reflect at 2W mirrors onto the edge pixel's own copy, i.e. edge padding at W.
-    # np.pad, not an index gather like _pad_input's: a gathered map comes out
-    # channel-innermost, so the patch copies below stop reading contiguous rows
-    # (16 channels at 128x128, 1 BLAS thread: 6 ms per eval forward against 11)
-    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)),
-                mode="edge" if p.padding_mode == "reflect" else "constant")
-    s0, s1, s2, s3 = xp.strides
-    # (T, C, a, b, W, H, d, e): the 2x2 window of phase (a, b) starts at (a, b)
-    win = as_strided(xp, shape=(t_count, c_in, 2, 2, w, h, 2, 2),
-                     strides=(s0, s1, s2, s3, s2, s3, s2, s3), writeable=False)
-    pw = _phase_weights(p.weights)
-    cols, bands = _patch_bands((t_count, 4, c_in * 4, w * h), 3, w, mode)
-    y = np.empty((t_count, c_out, 2 * w, 2 * h))
-    # (T, C_out, W, a, H, b): output pixel (2i + a, 2j + b) of phase (a, b)
-    y_split = y.reshape(t_count, c_out, w, 2, h, 2)
-    for r0, r1, patches, kept in bands:
-        patches.reshape(t_count, 2, 2, c_in, 2, 2, r1 - r0, h)[...] = (
-            win[:, :, :, :, r0:r1].transpose(0, 2, 3, 1, 6, 7, 4, 5)
-        )
-        if kept is not None:
-            kept[...] = patches
-        # one GEMM per (instance, phase), as in conv2d_forward
-        y_ph = np.matmul(pw, patches).reshape(t_count, 2, 2, c_out, r1 - r0, h)
-        y_split[:, :, r0:r1] = y_ph.transpose(0, 3, 4, 1, 5, 2)
-    if p.bias is not None:
-        y += p.bias[None, :, None, None]
-    if cols is None:
-        return y, None
-    return y, UpsampleConvCache(cols=cols, in_shape=x.shape, out_shape=y.shape)
+    return _patch_gemm(x, _upsample_window(p), _phase_weights(p.weights), p.bias, mode)
 
 
 def upsample_conv_backward(
-    grad_out: Tensor4, cache: UpsampleConvCache, p: ConvParams
+    grad_out: Tensor4, cache: ConvCache, p: ConvParams
 ) -> tuple[Tensor4, np.ndarray, np.ndarray | None]:
     """Gradients of upsample_conv_forward w.r.t. input, weights, and bias."""
-    if not isinstance(cache, UpsampleConvCache):
-        raise MissingForward("upsample_conv_backward called without a forward cache")
-    if grad_out.shape != cache.out_shape:
-        raise ShapeMismatch(
-            f"grad_out shape {grad_out.shape} != forward output {cache.out_shape}"
-        )
-    c_out, c_in = p.weights.shape[:2]
-    t_count, _, w, h = cache.in_shape
-
-    grad_b = grad_out.sum(axis=(0, 2, 3)) if p.bias is not None else None
-    # (T, 4, C_out, W*H): the output gradient of each phase (a, b)
-    g_ph = np.ascontiguousarray(
-        grad_out.reshape(t_count, c_out, w, 2, h, 2).transpose(0, 3, 5, 1, 2, 4)
-    ).reshape(t_count, 4, c_out, w * h)
-    grad_pw = np.matmul(g_ph, cache.cols.transpose(0, 1, 3, 2)).sum(axis=0)
-    # adjoint of the tap sums: (4, C_out, C_in*4) back to (C_out, C_in, 3, 3)
-    grad_pw = grad_pw.reshape(4, c_out * c_in, 4).transpose(1, 0, 2).reshape(c_out * c_in, 16)
-    grad_w = (grad_pw @ _PHASE_TAPS).reshape(p.weights.shape)
-    # (T, a, b, C_in, d, e, W, H): contiguous (W, H) planes per channel
-    gcols = np.matmul(_phase_weights(p.weights).transpose(0, 2, 1), g_ph).reshape(
-        t_count, 2, 2, c_in, 2, 2, w, h
+    grad_x, grad_pw, grad_b = _patch_gemm_backward(
+        grad_out, cache, _upsample_window(p), _phase_weights(p.weights), p.bias
     )
-
-    # 2x2 tap (d, e) of phase (a, b) read the padded input at offset (a+d, b+e)
-    gxp = np.zeros((t_count, c_in, w + 2, h + 2))
-    for a, b, d, e in np.ndindex(2, 2, 2, 2):
-        gxp[:, :, a + d : a + d + w, b + e : b + e + h] += gcols[:, a, b, :, d, e]
-    if p.padding_mode == "zero":
-        return gxp[:, :, 1 : w + 1, 1 : h + 1].copy(), grad_w, grad_b
-    return _fold(_fold(gxp, 1, 2, edge=True), 1, 3, edge=True), grad_w, grad_b
+    # adjoint of the tap sums: (4, C_out, C_in*4) back to (C_out, C_in, 3, 3)
+    c_out, c_in = p.weights.shape[:2]
+    grad_pw = grad_pw.reshape(4, c_out * c_in, 4).transpose(1, 0, 2).reshape(c_out * c_in, 16)
+    return grad_x, (grad_pw @ _PHASE_TAPS).reshape(p.weights.shape), grad_b

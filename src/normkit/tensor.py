@@ -91,11 +91,10 @@ def reduce(x: Tensor4, axes, kind: str = "sum") -> Tensor4:
     k = int(np.prod([x.shape[d] for d in kept], dtype=np.int64)) if kept else 1
     r = int(np.prod([x.shape[d] for d in reduced], dtype=np.int64))
     flat = block.reshape(k, r)
-    total = np.add.accumulate(flat, axis=1)[:, -1]
-    if kind == "mean":
-        total = total / r
     out_shape = tuple(1 if d in reduced else x.shape[d] for d in range(4))
-    return total.reshape(out_shape)
+    total = np.add.accumulate(flat, axis=1)[:, -1].reshape(out_shape)
+    # a new array either way: the column view alone would pin the whole prefix array
+    return total / r if kind == "mean" else total.copy()
 
 
 class RngStream:

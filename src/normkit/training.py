@@ -56,6 +56,8 @@ class TrainConfig:
     log_every: int = 10
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.learning_rate, self.alpha, self.beta])):
+            raise InvalidArgument("learning_rate, alpha and beta must be finite")
         if self.steps < 1:
             raise InvalidArgument("steps must be >= 1")
         if self.batch_size < 1:

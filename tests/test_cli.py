@@ -47,6 +47,14 @@ class TestUsageErrors:
                        "--out", out, "--steps", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("flag,value", [("--lr", "nan"), ("--alpha", "nan"), ("--beta", "inf")])
+    def test_non_finite_flag(self, dataset, tmp_path, flag, value):
+        directory, _, style = dataset
+        code = run_cli("train", "--style", style, "--content-dir", directory,
+                       "--out", str(tmp_path / "w.nrmk"), flag, value)
+        assert code == 2
+        assert not os.listdir(tmp_path)
+
     def test_unknown_command(self):
         assert run_cli("frobnicate") == 2
 
@@ -341,6 +349,14 @@ class TestCompareNormsCommand:
         assert code == 2
         assert not out_dir.exists()
 
+    def test_non_finite_flag_exits_2_before_writing(self, dataset, tmp_path):
+        directory, _, style = dataset
+        out_dir = tmp_path / "cmp"
+        code = run_cli("compare-norms", "--style", style, "--content-dir", directory,
+                       "--out-dir", str(out_dir), "--seeds", "1", "--lr", "nan")
+        assert code == 2
+        assert not out_dir.exists()
+
     def test_single_content_image_rejected(self, dataset, tmp_path):
         _, paths, style = dataset
         solo_dir = str(tmp_path / "solo")
@@ -370,6 +386,33 @@ class TestMiscSurface:
         )
         assert result.returncode == 0
         assert "relu" in result.stdout and "PASS" in result.stdout
+
+
+    def test_thread_cap_keeps_output_bytes(self, dataset, tmp_path):
+        # the README's claim: NORMKIT_THREADS bounds parallelism, never results
+        import subprocess
+        import sys
+
+        directory, _, style = dataset
+        image = str(tmp_path / "in256.ppm")
+        write_ppm(image, make_fixture_image(11, size=256))
+        blas_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                     "NUMEXPR_NUM_THREADS")
+        outputs = []
+        for cap in ("1", "2"):
+            # the cap only fills BLAS variables that are unset
+            env = {k: v for k, v in os.environ.items() if k not in blas_vars}
+            env["NORMKIT_THREADS"] = cap
+            out = str(tmp_path / f"gen{cap}.nrmk")
+            styled = str(tmp_path / f"out{cap}.ppm")
+            for argv in (["train", "--style", style, "--content-dir", directory, "--out", out,
+                          "--steps", "5"],
+                         ["stylize", "--weights", out, "--input", image, "--output", styled]):
+                result = subprocess.run([sys.executable, "-m", "normkit.cli", *argv],
+                                        capture_output=True, env=env)
+                assert result.returncode == 0, result.stderr
+            outputs.append([open(path, "rb").read() for path in (out, out + ".log", styled)])
+        assert outputs[0] == outputs[1]
 
 
 class TestGradcheckCommand:

@@ -42,6 +42,13 @@ class TestPpmReader:
         back = read_ppm(path)
         assert back.pixels == img.pixels
 
+    def test_non_whitespace_after_maxval_rejected(self, tmp_path):
+        path = str(tmp_path / "img.ppm")
+        open(path, "wb").write(b"P6\n1 1\n255#abc")
+        with pytest.raises(FormatError, match="byte offset 10") as info:
+            read_ppm(path)
+        assert info.value.offset == 10
+
     def test_bad_magic(self, tmp_path):
         path = str(tmp_path / "img.ppm")
         open(path, "wb").write(b"P5\n2 2\n255\n" + b"\x00" * 4)

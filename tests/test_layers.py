@@ -344,29 +344,36 @@ class TestBandedPath:
         y_train, cache = forward(x, p, "train")
         y_eval, cache_eval = forward(x, p, "eval")
         assert cache_eval is None
-        # train keeps the whole patch stack, so the backward's operands do not change
-        assert np.array_equal(cache.cols, cache_one.cols)
+        # train keeps every band's patches: side by side, the bands of one row
+        # and of three rows hold the same patches, so the backward's operands
+        # do not change
+        assert 1 < len(cache.bands) < len(cache_one.bands)
+        assert np.array_equal(np.concatenate(cache.bands, axis=3),
+                              np.concatenate(cache_one.bands, axis=3))
         assert np.array_equal(y_eval, y_train)
         assert np.max(np.abs(y_train - y_one)) <= 1e-12
         assert np.max(np.abs(y_two - y_one)) <= 1e-12
 
-    @pytest.mark.parametrize("rest,axis", [
-        ((11 * 13, 27), 1),  # conv: (T, OW*OH, C_in*K*K), 11 rows of 13 patches of 27 values
-        ((4, 12, 11 * 13), 3),  # fused: (T, 4, C_in*4, W*H), C_in = 3, W = 11, H = 13
+    @pytest.mark.parametrize("forward,row_bytes", [
+        (conv2d_forward, 13 * 3 * 9 * 8),  # OH * C_in * K * K * 8, OH = 13
+        (upsample_conv_forward, 4 * 3 * 4 * 13 * 8),  # 4 phases * C_in * 2 * 2 * H * 8, H = 13
     ])
-    def test_band_heights_follow_one_instances_row_bytes(self, monkeypatch, rest, axis):
+    def test_band_heights_follow_one_instances_row_bytes(self, monkeypatch, forward, row_bytes):
         # 3 rows per band; the batch size and the mode leave the partition
         # and every band GEMM's operand layout unchanged
-        monkeypatch.setattr(layers, "PATCH_BAND_BYTES", 3 * 8 * int(np.prod(rest)) // 11)
+        monkeypatch.setattr(layers, "PATCH_BAND_BYTES", 3 * row_bytes)
+        rng = RngStream(50)
+        x = sample_gaussian(rng, (4, 3, 11, 13))
+        p = make_conv(rng, 4, 3, 3, padding_mode="reflect", pad=1)
         layouts = set()
-        for t_count, mode in ((1, "train"), (4, "train"), (1, "eval"), (4, "eval")):
-            cols, bands = layers._patch_bands((t_count,) + rest, axis, 11, mode)
-            assert [(r0, r1) for r0, r1, _, _ in bands] == [(0, 3), (3, 6), (6, 9), (9, 11)]
-            assert (cols is None) == (mode == "eval")
-            for r0, r1, patches, kept in bands:
-                layouts.add((r1 - r0, patches.shape[1:], patches.strides[1:]))
-                if kept is not None:
-                    assert kept.shape == patches.shape
+        for t_count in (1, 4):
+            y_train, cache = forward(x[:t_count], p, "train")
+            y_eval, cache_eval = forward(x[:t_count], p, "eval")
+            assert cache_eval is None
+            assert np.array_equal(y_eval, y_train)
+            assert [patches.shape[3] // 13 for patches in cache.bands] == [3, 3, 3, 2]
+            for patches in cache.bands:
+                layouts.add((patches.shape[1:], patches.strides[1:]))
         assert len(layouts) == 2  # one for the bands of 3 rows, one for the last band
 
     def test_eval_cache_rejected_by_backward(self):
@@ -378,6 +385,18 @@ class TestBandedPath:
             y, cache = forward(x, p, "eval")
             with pytest.raises(MissingForward):
                 backward(np.zeros_like(y), cache, p)
+
+    def test_other_layers_cache_rejected_by_backward(self):
+        # both layers return a ConvCache; each backward takes only its own
+        rng = RngStream(51)
+        p = make_conv(rng, 2, 2, 3, pad=1)
+        y_conv, cache_conv = conv2d_forward(sample_gaussian(rng, (1, 2, 4, 4)), p)
+        y_up, cache_up = upsample_conv_forward(sample_gaussian(rng, (1, 2, 2, 2)), p)
+        assert y_conv.shape == y_up.shape
+        with pytest.raises(MissingForward):
+            conv2d_backward(np.zeros_like(y_up), cache_up, p)
+        with pytest.raises(MissingForward):
+            upsample_conv_backward(np.zeros_like(y_conv), cache_conv, p)
 
     def test_unknown_mode_rejected(self):
         p = make_conv(RngStream(49), 2, 2, 3, pad=1)

@@ -80,6 +80,11 @@ class TestReduce:
     def test_matches_sequential_oracle_bitwise(self, axes, x):
         assert reduce(x, axes, "sum").tobytes() == seq_reduce_oracle(x, axes).tobytes()
 
+    def test_result_owns_its_data(self):
+        # 256 bytes of sums must not keep the 4 MiB of running sums alive
+        out = reduce(np.ones((4, 32, 64, 64)), "TWH", "sum")
+        assert out.flags.owndata and out.nbytes == 256
+
     @pytest.mark.parametrize("axes", ["WH", "TWH", "TCWH", "C"])
     def test_mean_is_sum_over_count_exactly(self, axes):
         x = sample_gaussian(RngStream(5), (2, 3, 4, 4))
