@@ -13,18 +13,13 @@ import os
 def _apply_thread_cap():
     """Honor NORMKIT_THREADS before numpy binds its thread pools.
 
-    Capping BLAS threads never changes results (each output element keeps
-    its own accumulation order); it only bounds parallelism.
+    The cap overrides BLAS variables already set. Capping threads never changes
+    results (each output element keeps its own accumulation order).
     """
     cap = os.environ.get("NORMKIT_THREADS")
     if cap:
-        for var in (
-            "OPENBLAS_NUM_THREADS",
-            "OMP_NUM_THREADS",
-            "MKL_NUM_THREADS",
-            "NUMEXPR_NUM_THREADS",
-        ):
-            os.environ.setdefault(var, cap)
+        blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+        os.environ.update(dict.fromkeys(blas, cap))
 
 
 _apply_thread_cap()

@@ -337,32 +337,20 @@ class Generator:
 
     @classmethod
     def from_entries(cls, entries: dict[str, np.ndarray]) -> "Generator":
-        # set one field at a time on a valid default, so an InvalidArgument
-        # can only come from the entry just decoded
+        # one field at a time on a valid default, so an InvalidArgument names the
+        # entry just decoded; fill() rejects a value that int() or bool() rounded
         config = GeneratorConfig()
         for f in fields(GeneratorConfig):
             name = f"meta.{f.name}"
-            value = weightfile.entry_scalar(entries, name)
+            value = float(weightfile.entry(entries, name).ravel()[0])
             codes = {v: k for k, v in cls._CODES.get(f.name, {}).items()}
-            kind = type(getattr(config, f.name))
             try:
-                # int() and bool() would truncate, so int and bool fields
-                # take only whole numbers, and bool only 0 or 1
-                if value in codes:
-                    decoded = codes[value]
-                elif kind in (int, bool) and not value.is_integer():
-                    raise ValueError("expected a whole number")
-                elif kind is bool and value not in (0.0, 1.0):
-                    raise ValueError("expected 0 or 1")
-                else:
-                    decoded = kind(value)
+                decoded = codes.get(value, value) if codes else type(getattr(config, f.name))(value)
                 config = replace(config, **{f.name: decoded})
-            except (InvalidArgument, ValueError) as exc:
+            except (InvalidArgument, ValueError, OverflowError) as exc:
                 raise FormatError(f"entry {name!r} holds an invalid value {value!r}: {exc}")
         # the arrays fix the sizes: check them before a corrupt size builds the skeleton
-        if "stem_conv.w" not in entries:
-            raise FormatError("weight file missing entry 'stem_conv.w'")
-        stem = entries["stem_conv.w"].shape
+        stem = weightfile.entry(entries, "stem_conv.w").shape
         blocks = len({name.split(".")[0] for name in entries if name.startswith("res")})
         for key, size in (("base_channels", stem[0]), ("noise_channels", stem[1] - 3),
                           ("residual_blocks", blocks)):
@@ -370,28 +358,13 @@ class Generator:
                 raise FormatError(f"entry 'meta.{key}' is {getattr(config, key)}; 'stem_conv.w' "
                                   f"of shape {stem} and {blocks} res blocks say {size}")
         g = build(config, None)
-        # the skeleton's own entries say which arrays the file must carry, and
-        # may carry; each is the unit's live storage (a bias as a reshaped view), so
-        # copying into it loads the value. Only the counts are copies.
-        skeleton = g.to_entries()
-        unexpected = [name for name in entries if name not in skeleton]
-        if unexpected:
-            raise FormatError(f"weight file has unexpected entry {unexpected[0]!r}")
-        for name, live in skeleton.items():
-            if name.startswith("meta."):
-                continue
-            if name not in entries:
-                raise FormatError(f"weight file missing entry {name!r}")
-            value = entries[name]
-            if value.shape != live.shape:
-                raise FormatError(f"entry {name!r} has shape {value.shape}, expected {live.shape}")
-            if not np.isfinite(value).all():
-                raise FormatError(f"entry {name!r} holds non-finite values")
-            if name.endswith(".running_var") and (value < 0).any():
-                raise FormatError(f"entry {name!r} holds negative variances")
-            live[...] = value
+        # the skeleton's arrays are the units' live storage (a bias as a
+        # reshaped view), so fill() loads the values; only the counts are copies
+        weightfile.fill(g.to_entries(), entries)
         for unit in g.norm_units():
             if unit.running is not None:
+                if (unit.running.running_var < 0).any():
+                    raise FormatError(f"entry '{unit.name}.running_var' holds negative variances")
                 count = weightfile.entry_counts(entries, f"{unit.name}.count", minimum=0)
                 unit.running.sample_count = count[0]
         return g

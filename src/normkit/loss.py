@@ -25,9 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import weights as weightfile
-from .errors import FormatError, InvalidShape, MissingForward, ShapeMismatch
+from .errors import InvalidShape, MissingForward, ShapeMismatch
 from .generator import ConvUnit, ReluUnit, walk_backward, walk_forward
-from .layers import ConvParams
 from .tensor import RngStream, Tensor4, require_tensor4
 
 DEFAULT_EXTRACTOR_SEED = 1001
@@ -68,13 +67,7 @@ class FeatureExtractor:
         kernel: int = 3,
     ) -> "FeatureExtractor":
         """Build the frozen random extractor; identical seed, identical filters."""
-        rng = RngStream(seed)
-        units = []
-        for i, (c_in, c_out, stride) in enumerate(zip(channels[:-1], channels[1:], strides), 1):
-            conv = ConvUnit.he(f"phi{i}_conv", rng, c_in, c_out, stride, "reflect",
-                               bias=False, k=kernel)
-            units += [conv, ReluUnit(f"phi{i}_relu")]
-        return cls(units=units)
+        return cls(units=conv_relu_stack(RngStream(seed), channels, strides, kernel))
 
     @property
     def convs(self) -> list[ConvUnit]:
@@ -115,10 +108,8 @@ class FeatureExtractor:
             "meta.kind": weightfile.scalar_entry(2.0),  # 2 = feature extractor
             "meta.blocks": weightfile.scalar_entry(len(self.convs)),
             "meta.content_tap": weightfile.scalar_entry(self.content_tap),
+            "meta.style_taps": np.array(self.style_taps, dtype=np.float64).reshape(1, 1, 1, -1),
         }
-        entries["meta.style_taps"] = np.array(self.style_taps, dtype=np.float64).reshape(
-            1, 1, 1, len(self.style_taps)
-        )
         for i, conv in enumerate(self.convs, start=1):
             entries[f"block{i}.w"] = conv.params.weights
             entries[f"block{i}.stride"] = weightfile.scalar_entry(conv.params.stride)
@@ -126,23 +117,19 @@ class FeatureExtractor:
 
     @classmethod
     def from_entries(cls, entries: dict[str, np.ndarray]) -> "FeatureExtractor":
+        # sizes come from block 1's kernel and each block's outputs, so a kernel
+        # or input-channel count that breaks the chain is a shape error in fill()
         n = weightfile.entry_counts(entries, "meta.blocks")[0]
-        units = []
-        for i in range(1, n + 1):
-            try:
-                # a copy, so the extractor owns its weights
-                w = entries[f"block{i}.w"].copy()
-            except KeyError:
-                raise FormatError(f"missing extractor entry block{i}.w")
-            if not np.isfinite(w).all():
-                raise FormatError(f"entry 'block{i}.w' holds non-finite values")
-            stride = weightfile.entry_counts(entries, f"block{i}.stride")[0]
-            k = w.shape[2]
-            params = ConvParams(w, None, stride=stride, padding_mode="reflect", pad=(k - 1) // 2)
-            units += [ConvUnit(f"phi{i}_conv", params), ReluUnit(f"phi{i}_relu")]
-        style_taps = weightfile.entry_counts(entries, "meta.style_taps")
-        content_tap = weightfile.entry_counts(entries, "meta.content_tap")[0]
-        return cls(units=units, style_taps=style_taps, content_tap=content_tap)
+        shapes = [weightfile.entry(entries, f"block{i}.w").shape for i in range(1, n + 1)]
+        strides = [weightfile.entry_counts(entries, f"block{i}.stride")[0] for i in range(1, n + 1)]
+        channels = [shapes[0][1]] + [shape[0] for shape in shapes]
+        phi = cls(
+            units=conv_relu_stack(None, channels, strides, shapes[0][2]),
+            style_taps=weightfile.entry_counts(entries, "meta.style_taps"),
+            content_tap=weightfile.entry_counts(entries, "meta.content_tap")[0],
+        )
+        weightfile.fill(phi.to_entries(), entries)
+        return phi
 
     def save(self, path: str) -> None:
         weightfile.save_entries(path, self.to_entries())
@@ -150,6 +137,16 @@ class FeatureExtractor:
     @classmethod
     def load(cls, path: str) -> "FeatureExtractor":
         return cls.from_entries(weightfile.load_entries(path))
+
+
+def conv_relu_stack(rng: RngStream | None, channels, strides, kernel: int) -> list:
+    """Bias-free reflect-padded conv -> ReLU blocks; zero weights when ``rng`` is None."""
+    units = []
+    for i, (c_in, c_out, stride) in enumerate(zip(channels[:-1], channels[1:], strides), 1):
+        conv = ConvUnit.he(f"phi{i}_conv", rng, c_in, c_out, stride, "reflect",
+                           bias=False, k=kernel)
+        units += [conv, ReluUnit(f"phi{i}_relu")]
+    return units
 
 
 def gram(feature_map: Tensor4) -> np.ndarray:

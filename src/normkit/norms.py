@@ -10,8 +10,8 @@ Variances are biased (divide by the group size). Batch norm keeps
 exponential running statistics for evaluation; instance norm behaves
 identically in training and evaluation, which is the whole point of it.
 
-All reductions go through :func:`normkit.tensor.reduce`, so group means
-and variances accumulate in the canonical bit-reproducible order.
+All reductions go through :func:`normkit.tensor.reduce`, so each group's
+mean and variance depends only on that group's values.
 """
 
 from __future__ import annotations

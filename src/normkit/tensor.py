@@ -4,9 +4,9 @@ A tensor is a plain ``numpy.ndarray`` with ``dtype == float64`` and rank 4,
 laid out as (T, C, W, H): batch, channel, width, height. All operations
 here are pure: inputs are never mutated.
 
-Reductions accumulate sequentially in ascending flat (row-major T->C->W->H)
-index order, so results are bit-reproducible: ``reduce`` never relies on
-numpy's pairwise summation.
+In ``reduce``, each group's sum depends only on that group's values, not on
+how many other groups are reduced with it, so results are bit-reproducible
+and an instance's statistics never depend on its batch companions.
 """
 
 from __future__ import annotations
@@ -74,27 +74,23 @@ def _parse_axes(axes) -> list[int]:
 def reduce(x: Tensor4, axes, kind: str = "sum") -> Tensor4:
     """Reduce over a subset of axes; reduced axes collapse to size 1.
 
-    The accumulation within each output cell is strictly sequential in
-    ascending flat index order (np.add.accumulate, which is a plain
-    left-to-right loop). ``mean`` is ``sum`` divided by the element count,
-    so the two are related exactly in 64-bit arithmetic.
+    Each group's sum depends only on that group's values: the members are
+    laid out as one row of a C-contiguous (groups, members) block, and each
+    row is summed on its own (numpy's pairwise row sum). ``mean`` is ``sum``
+    divided by the element count, so the two are related exactly in 64-bit
+    arithmetic.
     """
     require_tensor4(x, "x")
     reduced = _parse_axes(axes)
     if kind not in ("sum", "mean"):
         raise InvalidArgument(f"unknown reduction kind {kind!r}")
     kept = [d for d in range(4) if d not in reduced]
-    # Kept axes first, reduced axes last, both in canonical order; flattening
-    # the reduced block then walks members in ascending flat index order.
-    perm = kept + reduced
-    block = np.ascontiguousarray(x.transpose(perm))
-    k = int(np.prod([x.shape[d] for d in kept], dtype=np.int64)) if kept else 1
+    # kept axes first, reduced axes last: each group's members form one row
+    block = np.ascontiguousarray(x.transpose(kept + reduced))
     r = int(np.prod([x.shape[d] for d in reduced], dtype=np.int64))
-    flat = block.reshape(k, r)
-    out_shape = tuple(1 if d in reduced else x.shape[d] for d in range(4))
-    total = np.add.accumulate(flat, axis=1)[:, -1].reshape(out_shape)
-    # a new array either way: the column view alone would pin the whole prefix array
-    return total / r if kind == "mean" else total.copy()
+    total = np.empty(tuple(1 if d in reduced else x.shape[d] for d in range(4)))
+    block.reshape(-1, r).sum(axis=1, out=total.reshape(-1))
+    return total / r if kind == "mean" else total
 
 
 class RngStream:

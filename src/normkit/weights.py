@@ -11,6 +11,19 @@ Layout (all integers little-endian):
         data      T*C*W*H float64 values
 
 The save -> load round trip is bitwise lossless; entry order is preserved.
+
+A model loads a file by building its zero-weight skeleton and calling
+:func:`fill`. Generator and extractor loads both raise ``FormatError``, naming
+the entry or, for the container, the byte offset, on:
+
+* bad magic, truncation, a zero dimension, a duplicate or non-UTF-8 name, or
+  trailing bytes;
+* a missing or unexpected entry, a wrong shape, or a non-finite value;
+* a ``meta.*`` entry other than what the loaded model writes back, such as
+  a wrong ``meta.kind``, a fractional count or an unknown code;
+* a size that the arrays contradict: a generator's ``meta.*`` size, or an
+  extractor kernel or channel count that breaks the block chain;
+* a negative batch-norm variance, or a fractional or negative sample count.
 """
 
 from __future__ import annotations
@@ -92,18 +105,39 @@ def scalar_entry(value: float) -> np.ndarray:
     return np.full((1, 1, 1, 1), float(value))
 
 
-def entry_scalar(entries: dict[str, np.ndarray], name: str) -> float:
+def entry(entries: dict[str, np.ndarray], name: str) -> np.ndarray:
     try:
-        return float(entries[name].ravel()[0])
+        return entries[name]
     except KeyError:
-        raise FormatError(f"missing required entry {name!r}")
+        raise FormatError(f"weight file missing entry {name!r}")
 
 
 def entry_counts(entries: dict[str, np.ndarray], name: str, minimum: int = 1) -> tuple[int, ...]:
     """Every value of entry ``name`` as an int; each must be a whole number >= ``minimum``."""
-    if name not in entries:
-        raise FormatError(f"missing required entry {name!r}")
-    values = [float(v) for v in entries[name].ravel()]
+    values = [float(v) for v in entry(entries, name).ravel()]
     if not all(v.is_integer() and v >= minimum for v in values):
         raise FormatError(f"entry {name!r} holds {values!r}, expected whole numbers >= {minimum}")
     return tuple(int(v) for v in values)
+
+
+def fill(skeleton: dict[str, np.ndarray], entries: dict[str, np.ndarray]) -> None:
+    """Copy ``entries`` into the live arrays of ``skeleton``, a model's own ``to_entries()``.
+
+    A ``meta.*`` entry is compared, not copied: it must equal bit for bit what
+    the decoded model re-encodes. The skeleton lists meta first, so a corrupt
+    meta value is named before the arrays it would mis-size.
+    """
+    for name, live in skeleton.items():
+        value = entry(entries, name)
+        if value.shape != live.shape:
+            raise FormatError(f"entry {name!r} has shape {value.shape}, expected {live.shape}")
+        if not np.isfinite(value).all():
+            raise FormatError(f"entry {name!r} holds non-finite values")
+        if not name.startswith("meta."):
+            live[...] = value
+        elif value.tobytes() != live.tobytes():
+            raise FormatError(f"entry {name!r} holds {value.ravel().tolist()}, "
+                              f"which reads back as {live.ravel().tolist()}")
+    unexpected = [name for name in entries if name not in skeleton]
+    if unexpected:
+        raise FormatError(f"weight file has unexpected entry {unexpected[0]!r}")

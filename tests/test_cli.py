@@ -150,6 +150,10 @@ class TestTrainCommand:
         ("meta.style_taps", np.full((1, 1, 1, 3), np.nan)),
         ("block1.w", np.full((8, 3, 3, 3), np.nan)),
         ("block2.stride", np.zeros((1, 1, 1, 1))),
+        ("meta.kind", np.full((1, 1, 1, 1), 1.0)),  # a generator's kind
+        ("block5.w", np.zeros((16, 16, 3, 3))),  # a block past meta.blocks
+        ("block2.w", np.zeros((16, 5, 3, 3))),  # block 1 puts out 8 channels, not 5
+        ("block1.w", np.zeros((8, 3, 3, 5))),  # non-square kernel
     ])
     def test_malformed_extractor_entry_exit_3(self, dataset, tmp_path, capsys, name, value):
         from normkit.loss import FeatureExtractor
@@ -388,6 +392,19 @@ class TestMiscSurface:
         assert "relu" in result.stdout and "PASS" in result.stdout
 
 
+    def test_thread_cap_overrides_set_blas_variables(self):
+        import subprocess
+        import sys
+
+        blas_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                     "NUMEXPR_NUM_THREADS")
+        env = dict(os.environ, NORMKIT_THREADS="1", **dict.fromkeys(blas_vars, "4"))
+        code = f"import os, normkit.cli; print(*(os.environ[v] for v in {blas_vars!r}))"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env=env)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["1"] * len(blas_vars)
+
     def test_thread_cap_keeps_output_bytes(self, dataset, tmp_path):
         # the README's claim: NORMKIT_THREADS bounds parallelism, never results
         import subprocess
@@ -396,13 +413,10 @@ class TestMiscSurface:
         directory, _, style = dataset
         image = str(tmp_path / "in256.ppm")
         write_ppm(image, make_fixture_image(11, size=256))
-        blas_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-                     "NUMEXPR_NUM_THREADS")
         outputs = []
         for cap in ("1", "2"):
-            # the cap only fills BLAS variables that are unset
-            env = {k: v for k, v in os.environ.items() if k not in blas_vars}
-            env["NORMKIT_THREADS"] = cap
+            # the cap overrides any BLAS thread variable the environment sets
+            env = dict(os.environ, NORMKIT_THREADS=cap)
             out = str(tmp_path / f"gen{cap}.nrmk")
             styled = str(tmp_path / f"out{cap}.ppm")
             for argv in (["train", "--style", style, "--content-dir", directory, "--out", out,

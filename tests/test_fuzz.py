@@ -3,7 +3,7 @@ either loads or raises a NormkitError, never another exception."""
 
 import pytest
 from helpers import make_fixture_image
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from normkit.errors import NormkitError
@@ -38,14 +38,12 @@ def load_or_reject(kind, path, blob):
 
 @pytest.mark.parametrize("kind", list(LOADERS))
 class TestLoaderFuzz:
-    @settings(derandomize=True, deadline=None, max_examples=200)
     @given(data=st.data())
     def test_truncation_rejected(self, files, kind, data):
         path, blob = files[kind]
         cut = data.draw(st.integers(0, len(blob) - 1), label="cut")
         assert not load_or_reject(kind, path, blob[:cut])
 
-    @settings(derandomize=True, deadline=None, max_examples=200)
     @given(data=st.data())
     def test_byte_replacement_loads_or_is_rejected(self, files, kind, data):
         path, blob = files[kind]

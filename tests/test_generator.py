@@ -335,3 +335,9 @@ class TestPersistence:
         entries["extra.w"] = np.zeros((1, 1, 1, 1))
         with pytest.raises(FormatError, match="'extra.w'"):
             Generator.from_entries(entries)
+
+    def test_extractor_kind_rejected(self):
+        entries = build(GeneratorConfig(residual_blocks=1), RngStream(33)).to_entries()
+        entries["meta.kind"] = np.full((1, 1, 1, 1), 2.0)
+        with pytest.raises(FormatError, match="'meta.kind'"):
+            Generator.from_entries(entries)

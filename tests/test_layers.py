@@ -7,7 +7,7 @@ from helpers import (
     upsample_nearest,
     upsample_nearest_adjoint,
 )
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from normkit import layers
@@ -213,7 +213,6 @@ def check_conv_oracle_and_adjoint(x, p):
 
 
 class TestConvProperties:
-    @settings(derandomize=True, deadline=None, max_examples=200)
     @given(conv_cases())
     def test_matches_oracle_and_adjoint(self, case):
         check_conv_oracle_and_adjoint(*case)
@@ -253,7 +252,6 @@ def check_upsample_conv_matches_upsample_then_conv(x, p):
 
 
 class TestUpsampleConv:
-    @settings(derandomize=True, deadline=None, max_examples=200)
     @given(upsample_conv_cases())
     def test_matches_upsample_then_conv(self, case):
         check_upsample_conv_matches_upsample_then_conv(*case)
@@ -305,12 +303,10 @@ class TestBandedPath:
             mp.setattr(layers, "PATCH_BAND_BYTES", 1)
             yield
 
-    @settings(derandomize=True, deadline=None, max_examples=200)
     @given(conv_cases())
     def test_conv_matches_oracle_and_adjoint(self, case):
         check_conv_oracle_and_adjoint(*case)
 
-    @settings(derandomize=True, deadline=None, max_examples=200)
     @given(upsample_conv_cases())
     def test_upsample_conv_matches_upsample_then_conv(self, case):
         check_upsample_conv_matches_upsample_then_conv(*case)

@@ -53,6 +53,9 @@ class TestExtractor:
         path = str(tmp_path / "phi.nrmk")
         phi.save(path)
         clone = FeatureExtractor.load(path)
+        resaved = str(tmp_path / "phi2.nrmk")
+        clone.save(resaved)
+        assert open(resaved, "rb").read() == open(path, "rb").read()
         assert clone.style_taps == phi.style_taps
         assert clone.content_tap == phi.content_tap
         x = smooth_image(3)

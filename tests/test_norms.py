@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 from helpers import fd_grad, max_rel_err
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normkit.errors import DegenerateInput, InvalidArgument, MissingForward, NotCalibrated
+from normkit.generator import NormUnit
 from normkit.norms import (
     RunningStats,
     batch_norm_forward,
@@ -193,6 +196,30 @@ class TestNormBackward:
         _, cache = forward()
         gx = norm_backward(probe, cache)
         assert max_rel_err(gx, fd_grad(loss, x)) < 1e-6
+
+    @settings(max_examples=50)
+    @given(kind=st.sampled_from(["batch", "instance"]),
+           shape=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4),
+                           st.integers(1, 4)),
+           eps=st.floats(1e-5, 1.0), affine=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_unit_matches_finite_differences(self, kind, shape, eps, affine, seed):
+        # through NormUnit, so a random affine scale/shift and its gradients are covered
+        unit = NormUnit("n", kind, shape[1], eps, affine)
+        rng = RngStream(seed)
+        x, probe = rng.normal(shape), rng.normal(shape)
+        params = unit.parameters()
+        for value in params.values():
+            value[...] = rng.normal(value.shape)
+
+        def loss():
+            return float((unit.forward(x, "train")[0] * probe).sum())
+
+        gx, grads = unit.backward(probe, unit.forward(x, "train")[1])
+        pairs = [(gx, fd_grad(loss, x))] + [(grads[k], fd_grad(loss, v)) for k, v in params.items()]
+        for analytic, numeric in pairs:
+            # relative to the largest element: a group of one or two members
+            # can have a gradient near 0 whose differences are all rounding
+            assert np.abs(analytic - numeric).max() <= 1e-6 * np.abs(numeric).max() + 1e-9
 
     def test_eval_backward_treats_stats_as_constants(self):
         rs = RunningStats(channels=2)

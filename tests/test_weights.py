@@ -1,7 +1,10 @@
+import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normkit.errors import FormatError
 from normkit.tensor import RngStream
@@ -17,7 +20,34 @@ def some_entries(seed=0):
     }
 
 
+@st.composite
+def entry_sets(draw):
+    """Unique arbitrary names, each with a small shape and arbitrary float64 bit patterns."""
+    names = draw(st.lists(st.text(st.characters(exclude_categories=("Cs",)), max_size=8),
+                          unique=True, max_size=5))
+    entries = {}
+    for name in names:
+        shape = draw(st.tuples(*[st.integers(1, 3)] * 4))
+        n = math.prod(shape)
+        bits = draw(st.lists(st.integers(0, 2**64 - 1), min_size=n, max_size=n))
+        entries[name] = np.array(bits, dtype=np.uint64).view(np.float64).reshape(shape)
+    return entries
+
+
 class TestRoundTrip:
+    @settings(max_examples=50)
+    @given(entries=entry_sets())
+    def test_any_names_shapes_and_bits_round_trip(self, tmp_path_factory, entries):
+        path = str(tmp_path_factory.mktemp("nrmk") / "w.nrmk")
+        save_entries(path, entries)
+        back = load_entries(path)
+        assert list(back) == list(entries)
+        for name, value in entries.items():
+            assert back[name].tobytes() == value.tobytes() and back[name].shape == value.shape
+        blob = open(path, "rb").read()
+        save_entries(path, back)
+        assert open(path, "rb").read() == blob
+
     def test_bitwise_lossless(self, tmp_path):
         entries = some_entries()
         path = str(tmp_path / "w.nrmk")
