@@ -185,8 +185,12 @@ def cmd_compare_norms(parser, args) -> int:
 
 
 def cmd_gradcheck(parser, args) -> int:
+    from math import isfinite
+
     from .gradcheck import gradcheck
 
+    if not isfinite(args.tol):
+        raise InvalidArgument(f"--tol must be finite, got {args.tol}")
     report = gradcheck(args.subject, h=args.h)
     failed = False
     for name, err in report.items():

@@ -185,7 +185,7 @@ class NormUnit:
         else:
             y, cache = instance_norm_forward(x, eps=self.eps)
         if self.affine:
-            return self.gamma * y + self.beta, (cache, y)
+            return self.gamma * y + self.beta, cache
         return y, cache
 
     def backward(self, g, cache):
@@ -193,8 +193,7 @@ class NormUnit:
             return g, {}
         grads = {}
         if self.affine:
-            cache, normalized = cache
-            grads[f"{self.name}.gamma"] = reduce(g * normalized, "TWH", "sum")
+            grads[f"{self.name}.gamma"] = reduce(g * cache.normalized, "TWH", "sum")
             grads[f"{self.name}.beta"] = reduce(g, "TWH", "sum")
             g = g * self.gamma
         return norm_backward(g, cache), grads

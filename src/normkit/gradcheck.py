@@ -30,9 +30,10 @@ def _max_rel_err(f, probes, h):
     """Worst relative error of analytic gradients against central differences.
 
     ``probes`` yields (array, index, analytic d f / d array[index]); each
-    element is perturbed in place and restored exactly.
+    element is perturbed in place and restored exactly. A NaN error makes
+    the result NaN, which fails every tolerance.
     """
-    worst = 0.0
+    errs = []
     for arr, idx, analytic in probes:
         orig = arr[idx]
         arr[idx] = orig + h
@@ -41,8 +42,8 @@ def _max_rel_err(f, probes, h):
         fm = f()
         arr[idx] = orig
         numeric = (fp - fm) / (2.0 * h)
-        worst = max(worst, abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8))
-    return worst
+        errs.append(abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8))
+    return float(np.max(errs))
 
 
 def _check_unit(unit, x):
@@ -137,8 +138,8 @@ def gradcheck(subject: str = "all", h: float = 1e-5) -> dict[str, float]:
     InvalidArgument; failures are the caller's judgment against their
     tolerance.
     """
-    if h <= 0:
-        raise InvalidArgument("h must be > 0")
+    if not (np.isfinite(h) and h > 0):
+        raise InvalidArgument(f"h must be finite and > 0, got {h}")
     if subject != "all" and subject not in SUBJECTS:
         raise InvalidArgument(f"unknown subject {subject!r}; choose from {SUBJECTS} or 'all'")
     chosen = SUBJECTS if subject == "all" else (subject,)

@@ -7,9 +7,10 @@ feature map as-is so layout is preserved. The loss is
     alpha * msd(content-tap features)  +  beta * mean over taps of
     msd(Gram(output tap), Gram target)
 
-with msd = mean squared difference and per-instance style terms averaged
-over the batch. Gradients flow back through the Gram map and the frozen
-extractor to the image.
+with msd = mean squared difference. Each instance of the batch has its own
+Gram matrix, computed in one call per tap, and a style msd averages over
+instances and channel pairs alike. Gradients flow back through the Gram map
+and the frozen extractor to the image.
 
 The extractor stands in for a classification-pretrained network, which is
 far out of desk-scale scope: by default it is a frozen stack of seeded
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import weights as weightfile
-from .errors import InvalidShape, MissingForward, ShapeMismatch
+from .errors import FormatError, InvalidShape, MissingForward, ShapeMismatch
 from .generator import ConvUnit, ReluUnit, walk_backward, walk_forward
 from .tensor import RngStream, Tensor4, require_tensor4
 
@@ -59,15 +60,9 @@ class FeatureExtractor:
             raise InvalidShape("tap indices must address existing blocks")
 
     @classmethod
-    def seeded(
-        cls,
-        seed: int = DEFAULT_EXTRACTOR_SEED,
-        channels: tuple[int, ...] = DEFAULT_CHANNELS,
-        strides: tuple[int, ...] = DEFAULT_STRIDES,
-        kernel: int = 3,
-    ) -> "FeatureExtractor":
+    def seeded(cls, seed: int = DEFAULT_EXTRACTOR_SEED) -> "FeatureExtractor":
         """Build the frozen random extractor; identical seed, identical filters."""
-        return cls(units=conv_relu_stack(RngStream(seed), channels, strides, kernel))
+        return cls(units=conv_relu_stack(RngStream(seed), DEFAULT_CHANNELS, DEFAULT_STRIDES, 3))
 
     @property
     def convs(self) -> list[ConvUnit]:
@@ -123,10 +118,17 @@ class FeatureExtractor:
         shapes = [weightfile.entry(entries, f"block{i}.w").shape for i in range(1, n + 1)]
         strides = [weightfile.entry_counts(entries, f"block{i}.stride")[0] for i in range(1, n + 1)]
         channels = [shapes[0][1]] + [shape[0] for shape in shapes]
+        if shapes[0][2] % 2 == 0:
+            raise FormatError(f"entry 'block1.w' has shape {shapes[0]}; kernels must be odd")
+        taps = {name: weightfile.entry_counts(entries, name)
+                for name in ("meta.style_taps", "meta.content_tap")}
+        for name, values in taps.items():
+            if max(values) > n:
+                raise FormatError(f"entry {name!r} holds {values}, past meta.blocks = {n}")
         phi = cls(
             units=conv_relu_stack(None, channels, strides, shapes[0][2]),
-            style_taps=weightfile.entry_counts(entries, "meta.style_taps"),
-            content_tap=weightfile.entry_counts(entries, "meta.content_tap")[0],
+            style_taps=taps["meta.style_taps"],
+            content_tap=taps["meta.content_tap"][0],
         )
         weightfile.fill(phi.to_entries(), entries)
         return phi
@@ -150,29 +152,25 @@ def conv_relu_stack(rng: RngStream | None, channels, strides, kernel: int) -> li
 
 
 def gram(feature_map: Tensor4) -> np.ndarray:
-    """Spatially averaged channel products: G_ij = (1/WH) sum_s F_is F_js.
+    """Per-instance spatially averaged channel products, shape (T, C, C):
+    G_tij = (1/WH) sum_s F_tis F_tjs.
 
-    Products are sorted before the sequential sum, which makes the result
-    bitwise invariant under any spatial permutation of the sites and
-    bitwise symmetric.
+    Each instance's products are sorted before the sequential sum, which
+    makes its result bitwise invariant under any spatial permutation of the
+    sites, bitwise symmetric, and independent of its batch companions.
     """
     require_tensor4(feature_map, "feature_map")
-    if feature_map.shape[0] != 1:
-        raise InvalidShape(
-            f"gram expects a single-instance map, got T={feature_map.shape[0]}"
-        )
-    _, c, w, h = feature_map.shape
-    flat = feature_map.reshape(c, w * h)
-    products = flat[:, None, :] * flat[None, :, :]
-    products = np.sort(products, axis=2)
-    return np.add.accumulate(products, axis=2)[:, :, -1] / (w * h)
+    t, c, w, h = feature_map.shape
+    flat = feature_map.reshape(t, c, w * h)
+    products = np.sort(flat[:, :, None, :] * flat[:, None, :, :], axis=3)
+    return np.add.accumulate(products, axis=3)[..., -1] / (w * h)
 
 
 def gram_backward(grad_g: np.ndarray, feature_map: Tensor4) -> Tensor4:
-    """d/dF of sum_ij grad_g_ij * G_ij for a single-instance map."""
-    _, c, w, h = feature_map.shape
-    flat = feature_map.reshape(c, w * h)
-    gf = (grad_g + grad_g.T) @ flat / (w * h)
+    """d/dF of sum_tij grad_g_tij * G_tij; one GEMM per instance."""
+    t, c, w, h = feature_map.shape
+    flat = feature_map.reshape(t, c, w * h)
+    gf = (grad_g + grad_g.transpose(0, 2, 1)) @ flat / (w * h)
     return gf.reshape(feature_map.shape)
 
 
@@ -223,7 +221,6 @@ def total_loss(
         content_feats = phi.forward(content)[0][phi.content_tap]
 
     feats_out, caches = phi.forward(output)
-    t_count = output.shape[0]
     tap_grads: dict[int, Tensor4] = {}
 
     f_out = feats_out[phi.content_tap]
@@ -238,15 +235,10 @@ def total_loss(
     n_taps = len(phi.style_taps)
     style_term = 0.0
     for tap in phi.style_taps:
-        f = feats_out[tap]
-        g_tap = np.zeros_like(f)
-        for t in range(t_count):
-            g_mat = gram(f[t : t + 1])
-            g_diff = g_mat - target.gram_targets[tap]
-            style_term += float(np.mean(g_diff * g_diff)) / (n_taps * t_count)
-            dg = target.beta * 2.0 * g_diff / (g_diff.size * n_taps * t_count)
-            g_tap[t : t + 1] = gram_backward(dg, f[t : t + 1])
-        tap_grads[tap] = tap_grads.get(tap, 0.0) + g_tap
+        g_diff = gram(feats_out[tap]) - target.gram_targets[tap]
+        style_term += float(np.mean(g_diff * g_diff)) / n_taps
+        tap_grads[tap] = tap_grads.get(tap, 0.0) + gram_backward(
+            target.beta * 2.0 * g_diff / (g_diff.size * n_taps), feats_out[tap])
 
     loss = target.alpha * content_term + target.beta * style_term
     grad = phi.backward(caches, tap_grads)

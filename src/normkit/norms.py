@@ -32,19 +32,16 @@ class RunningStats:
     """Exponential moving averages of batch-norm statistics.
 
     Updated only by train-mode batch norm:
-    r <- (1 - momentum) * r + momentum * batch_stat. ``sample_count``
+    r <- (1 - m) * r + m * batch_stat with m = DEFAULT_MOMENTUM. ``sample_count``
     counts update events; eval mode requires at least one.
     """
 
     channels: int
-    momentum: float = DEFAULT_MOMENTUM
     running_mu: np.ndarray = field(default=None)
     running_var: np.ndarray = field(default=None)
     sample_count: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.momentum < 1.0:
-            raise InvalidArgument(f"momentum must lie in (0,1), got {self.momentum}")
         if self.running_mu is None:
             self.running_mu = np.zeros((1, self.channels, 1, 1))
         if self.running_var is None:
@@ -125,7 +122,7 @@ def batch_norm_forward(
     else:
         y, mu, var, inv_std = _norm_forward(x, eps, "TWH")
         if rs is not None:
-            m = rs.momentum
+            m = DEFAULT_MOMENTUM
             rs.running_mu = (1.0 - m) * rs.running_mu + m * mu
             rs.running_var = (1.0 - m) * rs.running_var + m * var
             rs.sample_count += 1

@@ -11,8 +11,6 @@ and an instance's statistics never depend on its batch companions.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
 from .errors import InvalidArgument, InvalidShape
@@ -57,12 +55,8 @@ def new_tensor(shape, fill: float = 0.0) -> Tensor4:
 
 
 def _parse_axes(axes) -> list[int]:
-    if isinstance(axes, str):
-        names: Iterable[str] = axes
-    else:
-        names = tuple(axes)
     idx = set()
-    for name in names:
+    for name in axes:
         if name not in _AXIS_INDEX:
             raise InvalidArgument(f"unknown axis {name!r}; expected letters from 'TCWH'")
         idx.add(_AXIS_INDEX[name])

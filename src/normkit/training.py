@@ -68,6 +68,7 @@ class TrainConfig:
             raise InvalidArgument("log_every must be >= 1")
         if not self.dataset:
             raise InvalidArgument("dataset must name at least one content image")
+        self.generator_config()  # validates the generator fields before any file is read
 
     def generator_config(self) -> GeneratorConfig:
         # every GeneratorConfig field has a TrainConfig field of the same name

@@ -21,8 +21,9 @@ the entry or, for the container, the byte offset, on:
 * a missing or unexpected entry, a wrong shape, or a non-finite value;
 * a ``meta.*`` entry other than what the loaded model writes back, such as
   a wrong ``meta.kind``, a fractional count or an unknown code;
-* a size that the arrays contradict: a generator's ``meta.*`` size, or an
-  extractor kernel or channel count that breaks the block chain;
+* a size that the arrays contradict: a generator's ``meta.*`` size, an
+  extractor tap past ``meta.blocks``, an even kernel, or a kernel or channel
+  count that breaks the block chain;
 * a negative batch-norm variance, or a fractional or negative sample count.
 """
 

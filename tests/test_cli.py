@@ -154,6 +154,9 @@ class TestTrainCommand:
         ("block5.w", np.zeros((16, 16, 3, 3))),  # a block past meta.blocks
         ("block2.w", np.zeros((16, 5, 3, 3))),  # block 1 puts out 8 channels, not 5
         ("block1.w", np.zeros((8, 3, 3, 5))),  # non-square kernel
+        ("meta.content_tap", np.full((1, 1, 1, 1), 5.0)),  # past meta.blocks = 4
+        ("meta.style_taps", np.array([1.0, 2.0, 5.0]).reshape(1, 1, 1, 3)),
+        ("block1.w", np.zeros((8, 3, 2, 2))),  # even kernel
     ])
     def test_malformed_extractor_entry_exit_3(self, dataset, tmp_path, capsys, name, value):
         from normkit.loss import FeatureExtractor
@@ -345,11 +348,17 @@ class TestCompareNormsCommand:
             })
         assert blobs[0] == blobs[1]
 
-    def test_bad_flag_exits_2_before_writing(self, dataset, tmp_path):
+    @pytest.mark.parametrize("flag,value", [
+        ("--steps", "0"),
+        ("--base-channels", "0"),
+        ("--residual-blocks", "-1"),
+        ("--noise-channels", "-1"),
+    ])
+    def test_bad_flag_exits_2_before_writing(self, dataset, tmp_path, flag, value):
         directory, _, style = dataset
         out_dir = tmp_path / "cmp"
         code = run_cli("compare-norms", "--style", style, "--content-dir", directory,
-                       "--out-dir", str(out_dir), "--seeds", "1", "--steps", "0")
+                       "--out-dir", str(out_dir), "--seeds", "1", flag, value)
         assert code == 2
         assert not out_dir.exists()
 
@@ -442,3 +451,8 @@ class TestGradcheckCommand:
     def test_single_subject(self, capsys):
         assert run_cli("gradcheck", "--subject", "relu") == 0
         assert len(capsys.readouterr().out.splitlines()) == 1
+
+    @pytest.mark.parametrize("flag,value", [("--h", "nan"), ("--h", "inf"), ("--tol", "nan")])
+    def test_non_finite_step_or_tolerance_exits_2(self, capsys, flag, value):
+        assert run_cli("gradcheck", "--subject", "relu", flag, value) == 2
+        assert capsys.readouterr().out == ""

@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 
 from normkit.errors import InvalidArgument
-from normkit.generator import NormUnit
+from normkit.generator import NormUnit, ReluUnit
 from normkit.gradcheck import gradcheck
 from normkit.tensor import RngStream
 
@@ -35,6 +36,11 @@ class TestGradcheckHarness:
         with pytest.raises(InvalidArgument):
             gradcheck("relu", h=0.0)
 
+    @pytest.mark.parametrize("h", [float("nan"), float("inf")])
+    def test_non_finite_h(self, h):
+        with pytest.raises(InvalidArgument):
+            gradcheck("relu", h=h)
+
     def test_single_subject(self):
         report = gradcheck("relu")
         assert set(report.keys()) == {"relu"}
@@ -57,3 +63,10 @@ class TestGradcheckHarness:
 
         monkeypatch.setattr(NormUnit, "backward", skewed)
         assert gradcheck(subject)[subject] > 1e-3
+
+    def test_nan_gradient_caught(self, monkeypatch):
+        def nan_backward(self, g, cache):
+            return np.full_like(g, np.nan), {}
+
+        monkeypatch.setattr(ReluUnit, "backward", nan_backward)
+        assert np.isnan(gradcheck("relu")["relu"])

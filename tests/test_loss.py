@@ -3,7 +3,7 @@ import pytest
 from helpers import fd_grad, max_rel_err
 
 from normkit.errors import InvalidShape, ShapeMismatch
-from normkit.loss import FeatureExtractor, StyleTarget, gram, total_loss
+from normkit.loss import FeatureExtractor, StyleTarget, gram, gram_backward, total_loss
 from normkit.tensor import RngStream, new_tensor, sample_gaussian
 
 
@@ -79,14 +79,20 @@ class TestExtractor:
 class TestGram:
     def test_all_ones(self):
         g = gram(new_tensor((1, 2, 2, 2), 1.0))
-        assert np.array_equal(g, np.ones((2, 2)))
+        assert np.array_equal(g, np.ones((1, 2, 2)))
 
     def test_all_zeros(self):
         assert not gram(new_tensor((1, 3, 2, 2), 0.0)).any()
 
-    def test_batch_rejected(self):
-        with pytest.raises(InvalidShape):
-            gram(new_tensor((2, 2, 2, 2), 1.0))
+    def test_batch_equals_per_instance_calls_bitwise(self):
+        rng = RngStream(9)
+        f = rng.normal((3, 4, 5, 6))
+        grad_g = rng.normal((3, 4, 4))
+        g, gf = gram(f), gram_backward(grad_g, f)
+        for t in range(3):
+            one = slice(t, t + 1)
+            assert gram(f[one]).tobytes() == g[one].tobytes()
+            assert gram_backward(grad_g[one], f[one]).tobytes() == gf[one].tobytes()
 
     def test_spatial_permutation_invariance_bitwise(self):
         f = sample_gaussian(RngStream(4), (1, 3, 4, 5))
@@ -101,15 +107,15 @@ class TestGram:
 
     def test_symmetric_bitwise(self):
         g = gram(sample_gaussian(RngStream(6), (1, 5, 3, 3)))
-        assert np.array_equal(g, g.T)
+        assert np.array_equal(g, g.transpose(0, 2, 1))
 
     def test_psd_up_to_rounding(self, phi):
         target = StyleTarget.from_style_image(phi, smooth_image(7))
         for mat in target.gram_targets.values():
             probe_rng = RngStream(8)
             for _ in range(20):
-                v = probe_rng.normal((1, 1, 1, mat.shape[0])).ravel()
-                assert v @ mat @ v >= -1e-8
+                v = probe_rng.normal((1, 1, 1, mat.shape[1])).ravel()
+                assert v @ mat[0] @ v >= -1e-8
 
 
 class TestTotalLoss:

@@ -99,7 +99,7 @@ class TestBatchNormForward:
             assert np.max(np.abs(yb - yi)) <= 1e-12
 
     def test_running_stats_update_rule(self):
-        rs = RunningStats(channels=2, momentum=0.1)
+        rs = RunningStats(channels=2)
         x = sample_gaussian(RngStream(60), (2, 2, 4, 4))
         _, cache = batch_norm_forward(x, mode="train", rs=rs)
         expect_mu = 0.9 * np.zeros((1, 2, 1, 1)) + 0.1 * cache.mu
