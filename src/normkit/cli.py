@@ -104,12 +104,9 @@ def _stylize_tensor(generator, content, seed):
     from .tensor import RngStream
     from .training import STREAM_NOISE
 
+    t_count, _, w, h = content.shape
     nz = generator.config.noise_channels
-    z = None
-    if nz > 0:
-        z = RngStream(seed, STREAM_NOISE).normal(
-            (content.shape[0], nz, content.shape[2], content.shape[3])
-        )
+    z = RngStream(seed, STREAM_NOISE).normal((t_count, nz, w, h)) if nz > 0 else None
     # eval: batch norm uses its running statistics; the other modes ignore it
     y, _ = generator.forward(content, z, mode="eval")
     return y
@@ -247,15 +244,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](parser, args)
-    except Diverged as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
-    except InvalidArgument as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (NormkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        if isinstance(exc, Diverged):
+            return EXIT_DIVERGED
+        return EXIT_USAGE if isinstance(exc, InvalidArgument) else EXIT_INPUT
 
 
 if __name__ == "__main__":

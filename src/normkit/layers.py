@@ -29,14 +29,14 @@ padded gradient reads contiguous ``(OW, OH)`` planes.
 
 The forward runs one loop over bands of output rows (low-res rows for the
 fused layer). Each band is its own patch array of at most
-``PATCH_BAND_BYTES`` per instance and runs its own GEMMs. A train forward
-keeps the list of bands as the backward's cache; an eval forward drops each
-band after its GEMMs and returns no cache, so its patch memory does not grow
-with the image. The band height depends only on one instance's geometry,
-never on the batch size or the mode, so every band GEMM sees the same
-operands in train and eval, batched or alone: eval output equals train
-output bitwise, and an instance's rows stay bitwise independent of its batch
-companions.
+``PATCH_BAND_BYTES`` per instance, runs its own GEMMs and is dropped. A
+train forward caches only its padded input, and the backward rebuilds each
+band from it with the same generator, so no layer's full patch matrix is
+ever held; an eval forward returns no cache. The band height depends only
+on one instance's geometry, never on the batch size or the mode, so every
+band GEMM sees the same operands in train and eval, batched or alone: eval
+output equals train output bitwise, and an instance's rows stay bitwise
+independent of its batch companions.
 """
 
 from __future__ import annotations
@@ -91,9 +91,8 @@ class ConvParams:
 
 @dataclass
 class ConvCache:
-    bands: list  # (T, P, C_in*k*k, rows*OH) tap-major patches, one array per band
+    xp: np.ndarray  # the padded input, owned; the backward rebuilds its patch bands
     window: tuple  # (phases, k, stride, pad, np.pad mode)
-    in_shape: tuple
     out_shape: tuple  # (T, C_out, phases*OW, phases*OH)
 
 
@@ -103,9 +102,8 @@ class ReluCache:
 
 
 def _pad(x: Tensor4, pad: int, mode: str) -> np.ndarray:
-    # mode is np.pad's: "constant" (zeros), "reflect" or "edge"
-    if pad == 0:
-        return x
+    # mode is np.pad's: "constant" (zeros), "reflect" or "edge". A new array
+    # even at pad 0, so a train cache owns its padded input
     if mode == "reflect" and pad > min(x.shape[2:]) - 1:
         raise InvalidPadding(
             f"reflect pad {pad} needs pad <= W-1 and pad <= H-1, input is "
@@ -164,38 +162,45 @@ def _patch_gemm(
     if x.shape[1] * k * k != taps:
         raise ShapeMismatch(f"input has {x.shape[1]} channels, kernel expects {taps // (k * k)}")
     xp = _pad(x, pad, pad_mode)
-    t_count, c_in, wp, hp = xp.shape
+    t_count, _, wp, hp = xp.shape
     ow = (wp - phases + 1 - k) // stride + 1
     oh = (hp - phases + 1 - k) // stride + 1
     if ow < 1 or oh < 1:
         raise InvalidShape(f"padded spatial dims {wp}x{hp} smaller than kernel {k}")
-    s0, s1, s2, s3 = xp.strides
-    # (T, C, a, b, OW, OH, d, e): no copy
-    win = as_strided(xp, shape=(t_count, c_in, phases, phases, ow, oh, k, k),
-                     strides=(s0, s1, s2, s3, s2 * stride, s3 * stride, s2, s3),
-                     writeable=False)
-    rows = min(ow, max(1, PATCH_BAND_BYTES // (8 * phases * phases * taps * oh)))
     y = np.empty((t_count, phases * phases, c_out, ow * oh))
-    bands = []
-    for r0 in range(0, ow, rows):
-        r1 = min(r0 + rows, ow)
-        patches = np.empty((t_count, phases * phases, taps, (r1 - r0) * oh))
-        patches.reshape(t_count, phases, phases, c_in, k, k, r1 - r0, oh)[...] = (
-            win[:, :, :, :, r0:r1].transpose(0, 2, 3, 1, 6, 7, 4, 5)
-        )
+    for r0, r1, patches in _patch_bands(xp, window, ow, oh):
         # stacked matmul: one GEMM per (instance, phase). BLAS blocking varies
         # with the matrix width, so one GEMM over all instances would break
         # instance norm's contract that a row is bitwise independent of its
         # companions
         np.matmul(w_ph, patches, out=y[..., r0 * oh : r1 * oh])
-        if mode == "train":
-            bands.append(patches)
     if bias is not None:
         y += bias[:, None]
     # interleave the phases (a view for one phase)
     y = y.reshape(t_count, phases, phases, c_out, ow, oh).transpose(0, 3, 4, 1, 5, 2)
     y = y.reshape(t_count, c_out, phases * ow, phases * oh)
-    return y, (ConvCache(bands, window, x.shape, y.shape) if mode == "train" else None)
+    return y, (ConvCache(xp, window, y.shape) if mode == "train" else None)
+
+
+def _patch_bands(xp: np.ndarray, window: tuple, ow: int, oh: int):
+    """Yield ``(r0, r1, patches)`` over bands of output rows: tap-major ``(T, P,
+    C_in*k*k, (r1-r0)*OH)`` copies of ``xp``'s windows. Forward and backward
+    both build their bands here, so they share one partition and its bits."""
+    phases, k, stride = window[:3]
+    t_count, c_in = xp.shape[:2]
+    s0, s1, s2, s3 = xp.strides
+    # (T, C, a, b, OW, OH, d, e): no copy
+    win = as_strided(xp, shape=(t_count, c_in, phases, phases, ow, oh, k, k),
+                     strides=(s0, s1, s2, s3, s2 * stride, s3 * stride, s2, s3),
+                     writeable=False)
+    rows = min(ow, max(1, PATCH_BAND_BYTES // (8 * phases * phases * c_in * k * k * oh)))
+    for r0 in range(0, ow, rows):
+        r1 = min(r0 + rows, ow)
+        patches = np.empty((t_count, phases * phases, c_in * k * k, (r1 - r0) * oh))
+        patches.reshape(t_count, phases, phases, c_in, k, k, r1 - r0, oh)[...] = (
+            win[:, :, :, :, r0:r1].transpose(0, 2, 3, 1, 6, 7, 4, 5)
+        )
+        yield r0, r1, patches
 
 
 def _patch_gemm_backward(
@@ -210,7 +215,7 @@ def _patch_gemm_backward(
             f"grad_out shape {grad_out.shape} != forward output {cache.out_shape}"
         )
     phases, k, stride, pad, pad_mode = window
-    t_count, c_in, w, h = cache.in_shape
+    t_count, c_in, wp, hp = cache.xp.shape
     c_out = w_ph.shape[1]
     ow, oh = grad_out.shape[2] // phases, grad_out.shape[3] // phases
     grad_b = grad_out.sum(axis=(0, 2, 3)) if bias is not None else None
@@ -218,17 +223,17 @@ def _patch_gemm_backward(
     g = np.ascontiguousarray(
         grad_out.reshape(t_count, c_out, ow, phases, oh, phases).transpose(0, 3, 5, 1, 2, 4)
     ).reshape(t_count, phases * phases, c_out, ow * oh)
-    n = cache.bands[0].shape[3]  # every band but the last has n columns
+    # the forward's bands, rebuilt one at a time from the cached padded input
     grad_w = np.add.reduce([
-        np.matmul(g[..., i * n : (i + 1) * n], patches.transpose(0, 1, 3, 2)).sum(axis=0)
-        for i, patches in enumerate(cache.bands)
+        np.matmul(g[..., r0 * oh : r1 * oh], patches.transpose(0, 1, 3, 2)).sum(axis=0)
+        for r0, r1, patches in _patch_bands(cache.xp, window, ow, oh)
     ])
     # (T, a, b, C_in, d, e, OW, OH): contiguous (OW, OH) planes per channel
     gcols = np.matmul(w_ph.transpose(0, 2, 1), g).reshape(
         t_count, phases, phases, c_in, k, k, ow, oh
     )
     # tap (d, e) of phase (a, b) read the padded input at offset (a+d, b+e)
-    gxp = np.zeros((t_count, c_in, w + 2 * pad, h + 2 * pad))
+    gxp = np.zeros((t_count, c_in, wp, hp))
     s = stride
     for a, b, d, e in np.ndindex(phases, phases, k, k):
         gxp[:, :, a + d : a + d + ow * s : s, b + e : b + e + oh * s : s] += gcols[:, a, b, :, d, e]

@@ -155,15 +155,18 @@ def gram(feature_map: Tensor4) -> np.ndarray:
     """Per-instance spatially averaged channel products, shape (T, C, C):
     G_tij = (1/WH) sum_s F_tis F_tjs.
 
-    Each instance's products are sorted before the sequential sum, which
-    makes its result bitwise invariant under any spatial permutation of the
-    sites, bitwise symmetric, and independent of its batch companions.
+    Each instance's products are sorted before the sequential sum, which makes
+    its result bitwise invariant under any spatial permutation of the sites and
+    independent of its batch companions; pairs i <= j are summed, then mirrored.
     """
     require_tensor4(feature_map, "feature_map")
     t, c, w, h = feature_map.shape
     flat = feature_map.reshape(t, c, w * h)
-    products = np.sort(flat[:, :, None, :] * flat[:, None, :, :], axis=3)
-    return np.add.accumulate(products, axis=3)[..., -1] / (w * h)
+    i, j = np.triu_indices(c)
+    products = np.sort(flat[:, i] * flat[:, j], axis=2)
+    g = np.empty((t, c, c))
+    g[:, i, j] = g[:, j, i] = np.add.accumulate(products, axis=2, out=products)[..., -1] / (w * h)
+    return g
 
 
 def gram_backward(grad_g: np.ndarray, feature_map: Tensor4) -> Tensor4:

@@ -94,7 +94,6 @@ def adam_step(
     grads: dict[str, np.ndarray],
     state: AdamState,
     lr: float,
-    betas: tuple[float, float] = (0.9, 0.999),
     eps: float = 1e-8,
 ) -> None:
     """One bias-corrected Adam update, applied in place to ``params`` and ``state``.
@@ -104,7 +103,7 @@ def adam_step(
     """
     if params.keys() != grads.keys() or params.keys() != state.m.keys():
         raise ShapeMismatch("parameter, gradient, and state names must align")
-    b1, b2 = betas
+    b1, b2 = 0.9, 0.999  # decay rates of the first and second moments
     t = state.step + 1
     for name, p in params.items():
         g = grads[name]
@@ -228,8 +227,8 @@ def train(config: TrainConfig) -> tuple[Generator, RunReport]:
             raise Diverged(step, loss)
         report.losses.append(loss)
 
-        grads = g.backward(grad_y, caches)
-        adam_step(params, grads, state, config.learning_rate)
+        adam_step(params, g.backward(grad_y, caches), state, config.learning_rate)
+        del y, caches, grad_y  # so the next forward does not run beside them
 
     report.wall_time = time.perf_counter() - started
     report.param_checksum = parameter_checksum(g.parameters())

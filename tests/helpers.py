@@ -70,6 +70,14 @@ def upsample_nearest_adjoint(g, factor):
     return out
 
 
+def gram_all_pairs(f):
+    """Gram over all C*C channel pairs: each pair's products sorted, then summed in order."""
+    t, c, w, h = f.shape
+    flat = f.reshape(t, c, w * h)
+    products = np.sort(flat[:, :, None, :] * flat[:, None, :, :], axis=3)
+    return np.add.accumulate(products, axis=3)[..., -1] / (w * h)
+
+
 def fd_grad(f, x, h=1e-5):
     """Central-difference gradient of scalar f() w.r.t. array x (mutated in place)."""
     g = np.zeros_like(x)

@@ -208,6 +208,23 @@ class TestBackward:
             tracemalloc.stop()
         assert peak <= 6 * activation
 
+    def test_train_step_peak_memory_at_128_within_30_activations(self):
+        # each train conv caches its padded input, not its patches, and the
+        # backward rebuilds one band at a time, so a step holds no layer's
+        # full patch matrix
+        g = build(GeneratorConfig(norm_mode="instance"), RngStream(21))
+        x = content_like(8, size=128)
+        z = noise_for(g, x)
+        activation = 8 * 8 * 128 * 128  # bytes of one (1, 8, 128, 128) float64 map
+        tracemalloc.start()
+        try:
+            y, caches = g.forward(x, z, mode="train")
+            g.backward(np.ones_like(y), caches)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 30 * activation
+
     @pytest.mark.parametrize("norm_mode", ["none", "batch", "instance"])
     def test_sampled_parameter_gradients_match_fd(self, norm_mode):
         g = build(GeneratorConfig(norm_mode=norm_mode, residual_blocks=1), RngStream(21))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from helpers import (
@@ -291,6 +293,62 @@ class TestUpsampleConv:
             upsample_conv_backward(np.zeros((1, 2, 4, 4)), None, p)
 
 
+BACKWARD = {conv2d_forward: conv2d_backward, upsample_conv_forward: upsample_conv_backward}
+
+
+def train_bands(cache, y):
+    """The patch bands a backward rebuilds from ``cache``, under the current budget."""
+    phases = cache.window[0]
+    ow, oh = y.shape[2] // phases, y.shape[3] // phases
+    return [patches for _, _, patches in layers._patch_bands(cache.xp, cache.window, ow, oh)]
+
+
+def cache_arrays(obj):
+    """Every array reachable from a cache through dataclass fields and lists."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, (list, tuple)):
+        return [a for item in obj for a in cache_arrays(item)]
+    if dataclasses.is_dataclass(obj):
+        return [a for f in dataclasses.fields(obj) for a in cache_arrays(getattr(obj, f.name))]
+    return []
+
+
+# (forward, k, stride, pad): pad 0 caches a copy of the caller's input itself
+TRAIN_CACHE_CASES = [
+    (conv2d_forward, 1, 1, 0),
+    (conv2d_forward, 3, 1, 1),
+    (conv2d_forward, 3, 2, 1),
+    (upsample_conv_forward, 3, 1, 1),
+]
+
+
+class TestTrainCache:
+    """A train forward caches its padded input, which it owns, and no patches."""
+
+    @pytest.mark.parametrize("forward,k,stride,pad", TRAIN_CACHE_CASES)
+    def test_no_cached_array_larger_than_padded_input(self, forward, k, stride, pad):
+        rng = RngStream(60)
+        x = sample_gaussian(rng, (2, 3, 9, 7))
+        p = make_conv(rng, 4, 3, k, stride=stride, padding_mode="reflect", pad=pad)
+        _, cache = forward(x, p, "train")
+        padded_bytes = 2 * 3 * (9 + 2 * pad) * (7 + 2 * pad) * 8
+        assert max(a.nbytes for a in cache_arrays(cache)) <= padded_bytes
+
+    @pytest.mark.parametrize("forward,k,stride,pad", TRAIN_CACHE_CASES)
+    def test_backward_ignores_later_writes_to_the_input(self, forward, k, stride, pad):
+        rng = RngStream(61)
+        x = sample_gaussian(rng, (2, 3, 9, 7))
+        p = make_conv(rng, 4, 3, k, stride=stride, padding_mode="reflect", pad=pad)
+        y, cache = forward(x.copy(), p, "train")
+        g = rng.normal(y.shape)
+        expected = BACKWARD[forward](g, cache, p)
+        _, cache = forward(x, p, "train")
+        x[...] = rng.normal(x.shape)
+        for got, want in zip(BACKWARD[forward](g, cache, p), expected):
+            assert got.tobytes() == want.tobytes()
+
+
 class TestBandedPath:
     """The oracle, adjoint and batch-independence contracts with every layer
     split into bands of one output row, and bands of several rows checked
@@ -330,25 +388,34 @@ class TestBandedPath:
     ])
     def test_bands_of_three_rows_match_one_band(self, monkeypatch, forward, k, stride, pad, side,
                                                 row_bytes):
+        backward = BACKWARD[forward]
         rng = RngStream(47)
         x = sample_gaussian(rng, (2, 3, side, 13))
         p = make_conv(rng, 4, 3, k, stride=stride, padding_mode="reflect", pad=pad)
         y_one, cache_one = forward(x, p)
+        g = rng.normal(y_one.shape)
+        bands_one = train_bands(cache_one, y_one)
+        grads_one = backward(g, cache_one, p)
         monkeypatch.setattr(layers, "PATCH_BAND_BYTES", 3 * row_bytes - 1)  # bands of 2
         y_two, _ = forward(x, p)
         monkeypatch.setattr(layers, "PATCH_BAND_BYTES", 3 * row_bytes)
         y_train, cache = forward(x, p, "train")
         y_eval, cache_eval = forward(x, p, "eval")
         assert cache_eval is None
-        # train keeps every band's patches: side by side, the bands of one row
-        # and of three rows hold the same patches, so the backward's operands
-        # do not change
-        assert 1 < len(cache.bands) < len(cache_one.bands)
-        assert np.array_equal(np.concatenate(cache.bands, axis=3),
-                              np.concatenate(cache_one.bands, axis=3))
+        # the backward rebuilds the bands from the cached input: side by side,
+        # the bands of one row and of three rows hold the same patches, so
+        # the backward's operands do not change
+        bands = train_bands(cache, y_train)
+        assert 1 < len(bands) < len(bands_one)
+        assert np.array_equal(np.concatenate(bands, axis=3), np.concatenate(bands_one, axis=3))
         assert np.array_equal(y_eval, y_train)
         assert np.max(np.abs(y_train - y_one)) <= 1e-12
         assert np.max(np.abs(y_two - y_one)) <= 1e-12
+        # grad_x comes from one whole-image GEMM, so only grad_w sees the bands
+        grad_x, grad_w, grad_b = backward(g, cache, p)
+        assert grad_x.tobytes() == grads_one[0].tobytes()
+        assert np.max(np.abs(grad_w - grads_one[1])) <= 1e-12
+        assert grad_b.tobytes() == grads_one[2].tobytes()
 
     @pytest.mark.parametrize("forward,row_bytes", [
         (conv2d_forward, 13 * 3 * 9 * 8),  # OH * C_in * K * K * 8, OH = 13
@@ -367,8 +434,9 @@ class TestBandedPath:
             y_eval, cache_eval = forward(x[:t_count], p, "eval")
             assert cache_eval is None
             assert np.array_equal(y_eval, y_train)
-            assert [patches.shape[3] // 13 for patches in cache.bands] == [3, 3, 3, 2]
-            for patches in cache.bands:
+            bands = train_bands(cache, y_train)
+            assert [patches.shape[3] // 13 for patches in bands] == [3, 3, 3, 2]
+            for patches in bands:
                 layouts.add((patches.shape[1:], patches.strides[1:]))
         assert len(layouts) == 2  # one for the bands of 3 rows, one for the last band
 

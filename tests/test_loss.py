@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
-from helpers import fd_grad, max_rel_err
+from helpers import fd_grad, gram_all_pairs, max_rel_err
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from normkit.errors import InvalidShape, ShapeMismatch
 from normkit.loss import FeatureExtractor, StyleTarget, gram, gram_backward, total_loss
@@ -104,6 +106,13 @@ class TestGram:
     def test_one_site_is_the_outer_product(self):
         v = np.array([-0.0, 1.5, -2.0])
         assert gram(v.reshape(1, 3, 1, 1)).tobytes() == np.outer(v, v).tobytes()
+
+    @given(st.integers(1, 4), st.integers(1, 6), st.integers(1, 6), st.integers(1, 6),
+           st.integers(0, 2**32 - 1))
+    @example(3, 1, 2, 5, 0)  # one channel, several instances
+    def test_matches_all_pairs_oracle_bitwise(self, t, c, w, h, seed):
+        f = RngStream(seed).normal((t, c, w, h))
+        assert gram(f).tobytes() == gram_all_pairs(f).tobytes()
 
     def test_symmetric_bitwise(self):
         g = gram(sample_gaussian(RngStream(6), (1, 5, 3, 3)))

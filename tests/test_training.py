@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from helpers import write_fixture
@@ -200,6 +202,22 @@ class TestTrain:
             live, start = initial[name]
             assert arr is live, name
             assert not np.array_equal(arr, start), name
+
+    def test_second_step_adds_no_peak_memory(self, tmp_path):
+        # train drops a step's caches and gradients before the next forward,
+        # so a 2-step run peaks where a 1-step run does
+        paths, style = write_fixture(str(tmp_path), size=64)
+        peaks = []
+        for steps in (1, 2):
+            config = TrainConfig(style=style, dataset=paths, steps=steps, norm_mode="batch",
+                                 padding_mode="zero")
+            tracemalloc.start()
+            try:
+                train(config)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.01 * peaks[0]
 
     def test_invalid_config_rejected(self, dataset):
         paths, style = dataset
