@@ -20,8 +20,8 @@ controlled-experiment contract this module exists to support.
 
 Instance-norm generators behave identically in train and eval mode. Batch
 norm uses running statistics in eval mode and therefore must see at least
-one training batch first. An eval forward keeps no caches, so it cannot be
-backpropagated.
+one training batch first; no other unit reads the mode. An eval forward
+keeps no caches, so it cannot be backpropagated.
 """
 
 from __future__ import annotations
@@ -82,31 +82,36 @@ class GeneratorConfig:
 def walk_forward(units: list, h: Tensor4, mode: str, taps=()) -> tuple[Tensor4, list, dict]:
     """Run units in order; returns (output, caches, {i: output of unit i} for i in taps).
 
-    Only a train walk keeps the units' caches. An eval walk returns none, so
-    each cache (a norm's or ReLU's saved input; an eval conv keeps none) is
-    freed once the next unit has run, and a backward over an eval walk fails
-    as a missing forward.
+    Only a train walk keeps the units' caches, and the walk drops its own
+    reference to each cache as soon as its unit returns. So an eval walk
+    frees every cache (a conv's padded input, a norm's or ReLU's saved input)
+    before the next unit runs, and a backward over it fails as a missing
+    forward.
     """
     caches, outs = [], {}
     for i, unit in enumerate(units):
         h, cache = unit.forward(h, mode)
         if mode == "train":
             caches.append(cache)
+        del cache
         if i in taps:
             outs[i] = h
     return h, caches, outs
 
 
 def walk_backward(units: list, caches: list, g: Tensor4 | None, tap_grads=None):
-    """Backpropagate ``g`` through the units that produced ``caches``, last first.
+    """Backpropagate ``g`` through ``units``, last first, with the caches of their train walk.
 
     ``tap_grads[i]`` joins the gradient arriving at unit ``i``'s output, so
-    ``g`` may be None when the last walked unit is a tap. Returns the input
-    gradient and the parameter gradients of every unit walked.
+    ``g`` may be None when the last unit is a tap. Returns the input gradient
+    and the parameter gradients of every unit. Raises ``MissingForward``
+    unless ``caches`` holds one entry per unit.
     """
+    if caches is None or len(caches) != len(units):
+        raise MissingForward(f"backward over {len(units)} units needs their train walk's caches")
     tap_grads = tap_grads or {}
     grads = {}
-    for i in reversed(range(len(caches))):
+    for i in reversed(range(len(units))):
         if i in tap_grads:
             g = tap_grads[i] if g is None else g + tap_grads[i]
         g, unit_grads = units[i].backward(g, caches[i])
@@ -139,7 +144,7 @@ class ConvUnit:
         return cls(name, params)
 
     def forward(self, x, mode):
-        return conv2d_forward(x, self.params, mode)
+        return conv2d_forward(x, self.params)
 
     def backward(self, g, cache):
         gx, gw, gb = conv2d_backward(g, cache, self.params)
@@ -157,7 +162,7 @@ class UpsampleConvUnit(ConvUnit):
     """Nearest upsample x2, then a 3x3 stride-1 conv, as one layer."""
 
     def forward(self, x, mode):
-        return upsample_conv_forward(x, self.params, mode)
+        return upsample_conv_forward(x, self.params)
 
     def backward(self, g, cache):
         gx, gw, gb = upsample_conv_backward(g, cache, self.params)
@@ -251,8 +256,6 @@ class ResidualBlock:
         return x + h, caches
 
     def backward(self, g, caches):
-        if caches is None:
-            raise MissingForward(f"{self.name} backward called without a forward cache")
         gh, grads = walk_backward(self.units, caches, g)
         return g + gh, grads
 
@@ -306,8 +309,6 @@ class Generator:
         return h, caches
 
     def backward(self, grad_out: Tensor4, caches: list) -> dict[str, np.ndarray]:
-        if caches is None or len(caches) != len(self.units):
-            raise MissingForward("generator backward needs the caches from forward")
         return walk_backward(self.units, caches, grad_out)[1]
 
     # -- persistence ------------------------------------------------------

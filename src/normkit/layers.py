@@ -28,15 +28,16 @@ in the same layout, so each of the ``P*k*k`` strided slice-adds into the
 padded gradient reads contiguous ``(OW, OH)`` planes.
 
 The forward runs one loop over bands of output rows (low-res rows for the
-fused layer). Each band is its own patch array of at most
-``PATCH_BAND_BYTES`` per instance, runs its own GEMMs and is dropped. A
-train forward caches only its padded input, and the backward rebuilds each
-band from it with the same generator, so no layer's full patch matrix is
-ever held; an eval forward returns no cache. The band height depends only
-on one instance's geometry, never on the batch size or the mode, so every
-band GEMM sees the same operands in train and eval, batched or alone: eval
-output equals train output bitwise, and an instance's rows stay bitwise
-independent of its batch companions.
+fused layer). Every band is copied into one buffer of at most
+``PATCH_BAND_BYTES`` per instance, allocated once per call, and runs its own
+GEMMs; the last, shorter band is a contiguous prefix of that buffer, so
+each band GEMM's operand has the shape and strides of a fresh array.
+Training and inference run the same forward. It returns its padded input
+as the cache, and the backward rebuilds each band from it with the same
+generator, so no layer's full patch matrix is ever held; a caller that
+will not backpropagate drops the cache. The band height depends only on
+one instance's geometry, never on the batch size, so an instance's rows
+stay bitwise independent of its batch companions.
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ class ReluCache:
 
 def _pad(x: Tensor4, pad: int, mode: str) -> np.ndarray:
     # mode is np.pad's: "constant" (zeros), "reflect" or "edge". A new array
-    # even at pad 0, so a train cache owns its padded input
+    # even at pad 0, so the cache owns its padded input
     if mode == "reflect" and pad > min(x.shape[2:]) - 1:
         raise InvalidPadding(
             f"reflect pad {pad} needs pad <= W-1 and pad <= H-1, input is "
@@ -144,19 +145,17 @@ def _conv_window(p: ConvParams) -> tuple:
 
 
 def _patch_gemm(
-    x: Tensor4, window: tuple, w_ph: np.ndarray, bias: np.ndarray | None, mode: str
-) -> tuple[Tensor4, ConvCache | None]:
+    x: Tensor4, window: tuple, w_ph: np.ndarray, bias: np.ndarray | None
+) -> tuple[Tensor4, ConvCache]:
     """Correlate ``x`` with every phase's ``(C_out, C_in*k*k)`` kernel matrix in ``w_ph``.
 
     ``window`` is ``(phases, k, stride, pad, np.pad mode)``: the k x k windows
     of phase ``(a, b)`` start at padded pixel ``(a, b)`` and step by
     ``stride``, and window ``(i, j)`` gives output pixel
     ``(phases*i + a, phases*j + b)``. Returns ``(T, C_out, phases*OW,
-    phases*OH)`` and the cache (None in eval).
+    phases*OH)`` and the cache.
     """
     require_tensor4(x, "x")
-    if mode not in ("train", "eval"):
-        raise InvalidArgument(f"mode must be 'train' or 'eval', got {mode!r}")
     phases, k, stride, pad, pad_mode = window
     c_out, taps = w_ph.shape[1:]
     if x.shape[1] * k * k != taps:
@@ -179,13 +178,14 @@ def _patch_gemm(
     # interleave the phases (a view for one phase)
     y = y.reshape(t_count, phases, phases, c_out, ow, oh).transpose(0, 3, 4, 1, 5, 2)
     y = y.reshape(t_count, c_out, phases * ow, phases * oh)
-    return y, (ConvCache(xp, window, y.shape) if mode == "train" else None)
+    return y, ConvCache(xp, window, y.shape)
 
 
 def _patch_bands(xp: np.ndarray, window: tuple, ow: int, oh: int):
     """Yield ``(r0, r1, patches)`` over bands of output rows: tap-major ``(T, P,
     C_in*k*k, (r1-r0)*OH)`` copies of ``xp``'s windows. Forward and backward
-    both build their bands here, so they share one partition and its bits."""
+    both build their bands here, so they share one partition and its bits.
+    Every band is a view of one buffer, overwritten by the next band."""
     phases, k, stride = window[:3]
     t_count, c_in = xp.shape[:2]
     s0, s1, s2, s3 = xp.strides
@@ -194,9 +194,11 @@ def _patch_bands(xp: np.ndarray, window: tuple, ow: int, oh: int):
                      strides=(s0, s1, s2, s3, s2 * stride, s3 * stride, s2, s3),
                      writeable=False)
     rows = min(ow, max(1, PATCH_BAND_BYTES // (8 * phases * phases * c_in * k * k * oh)))
+    buf = np.empty(t_count * phases * phases * c_in * k * k * rows * oh)
     for r0 in range(0, ow, rows):
         r1 = min(r0 + rows, ow)
-        patches = np.empty((t_count, phases * phases, c_in * k * k, (r1 - r0) * oh))
+        shape = (t_count, phases * phases, c_in * k * k, (r1 - r0) * oh)
+        patches = buf[: np.prod(shape)].reshape(shape)
         patches.reshape(t_count, phases, phases, c_in, k, k, r1 - r0, oh)[...] = (
             win[:, :, :, :, r0:r1].transpose(0, 2, 3, 1, 6, 7, 4, 5)
         )
@@ -240,16 +242,15 @@ def _patch_gemm_backward(
     return _unpad(gxp, pad, pad_mode), grad_w, grad_b
 
 
-def conv2d_forward(
-    x: Tensor4, p: ConvParams, mode: str = "train"
-) -> tuple[Tensor4, ConvCache | None]:
+def conv2d_forward(x: Tensor4, p: ConvParams) -> tuple[Tensor4, ConvCache]:
     """Cross-correlate ``x`` with ``p.weights`` under the declared padding/stride.
 
     Output spatial size is floor((S + 2*pad - K) / stride) + 1 per dimension.
-    An eval forward returns no cache.
+    The cache holds the padded input; a caller that will not backpropagate
+    drops it.
     """
     w_mat = p.weights.reshape(1, p.weights.shape[0], -1)
-    return _patch_gemm(x, _conv_window(p), w_mat, p.bias, mode)
+    return _patch_gemm(x, _conv_window(p), w_mat, p.bias)
 
 
 def conv2d_backward(
@@ -298,13 +299,11 @@ def _upsample_window(p: ConvParams) -> tuple:
     return (2, 2, 1, 1, "constant" if p.padding_mode == "zero" else "edge")
 
 
-def upsample_conv_forward(
-    x: Tensor4, p: ConvParams, mode: str = "train"
-) -> tuple[Tensor4, ConvCache | None]:
+def upsample_conv_forward(x: Tensor4, p: ConvParams) -> tuple[Tensor4, ConvCache]:
     """``conv2d_forward`` of ``x`` upsampled nearest x2, for a 3x3, stride-1, pad-1 ``p``.
 
-    Output is ``(T, C_out, 2W, 2H)``; no upsampled tensor is built. An eval
-    forward returns no cache.
+    Output is ``(T, C_out, 2W, 2H)``; no upsampled tensor is built. The cache
+    holds the low-res padded input, as ``conv2d_forward``'s does.
     """
     k = p.weights.shape[2]
     if (k, p.stride, p.pad) != (3, 1, 1):
@@ -312,7 +311,7 @@ def upsample_conv_forward(
             f"upsample-conv needs a 3x3 kernel, stride 1 and pad 1, got "
             f"{k}x{k}, stride {p.stride}, pad {p.pad}"
         )
-    return _patch_gemm(x, _upsample_window(p), _phase_weights(p.weights), p.bias, mode)
+    return _patch_gemm(x, _upsample_window(p), _phase_weights(p.weights), p.bias)
 
 
 def upsample_conv_backward(

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import weights as weightfile
-from .errors import FormatError, InvalidShape, MissingForward, ShapeMismatch
+from .errors import FormatError, InvalidShape, ShapeMismatch
 from .generator import ConvUnit, ReluUnit, walk_backward, walk_forward
 from .tensor import RngStream, Tensor4, require_tensor4
 
@@ -94,9 +94,8 @@ class FeatureExtractor:
     def backward(self, caches: list, tap_grads: dict[int, Tensor4]) -> Tensor4:
         """Backpropagate {tap: gradient} through the stack to the input."""
         at = self.tap_units
-        if caches is None or len(caches) != max(at.values()) + 1:
-            raise MissingForward("extractor backward needs the caches from its forward")
-        return walk_backward(self.units, caches, None, {at[t]: g for t, g in tap_grads.items()})[0]
+        walked = self.units[: max(at.values()) + 1]
+        return walk_backward(walked, caches, None, {at[t]: g for t, g in tap_grads.items()})[0]
 
     def to_entries(self) -> dict[str, np.ndarray]:
         entries = {

@@ -94,7 +94,6 @@ def adam_step(
     grads: dict[str, np.ndarray],
     state: AdamState,
     lr: float,
-    eps: float = 1e-8,
 ) -> None:
     """One bias-corrected Adam update, applied in place to ``params`` and ``state``.
 
@@ -103,7 +102,7 @@ def adam_step(
     """
     if params.keys() != grads.keys() or params.keys() != state.m.keys():
         raise ShapeMismatch("parameter, gradient, and state names must align")
-    b1, b2 = 0.9, 0.999  # decay rates of the first and second moments
+    b1, b2, eps = 0.9, 0.999, 1e-8  # moment decay rates; eps keeps the step finite
     t = state.step + 1
     for name, p in params.items():
         g = grads[name]

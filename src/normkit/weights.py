@@ -45,12 +45,8 @@ def save_entries(path: str, entries: dict[str, np.ndarray]) -> None:
     blob = bytearray()
     blob += MAGIC
     blob += struct.pack("<I", len(entries))
-    seen = set()
     for name, tensor in entries.items():
         require_tensor4(tensor, f"entry {name!r}")
-        if name in seen:
-            raise InvalidArgument(f"duplicate entry name {name!r}")
-        seen.add(name)
         raw = name.encode("utf-8")
         if len(raw) > 0xFFFF:
             raise InvalidArgument(f"entry name too long: {name!r}")
@@ -87,7 +83,7 @@ def load_entries(path: str) -> dict[str, np.ndarray]:
         except UnicodeDecodeError:
             raise FormatError("entry name is not valid UTF-8", offset=off - name_len)
         if name in entries:
-            raise FormatError(f"duplicate entry name {name!r}", offset=off)
+            raise FormatError(f"duplicate entry name {name!r}", offset=off - name_len)
         dims = struct.unpack("<4I", take(16, "dims"))
         if any(d < 1 for d in dims):
             raise FormatError(f"entry {name!r} has a zero dimension {dims}", offset=off - 16)

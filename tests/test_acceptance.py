@@ -7,6 +7,7 @@ helpers.py; the reference numbers quoted in comments were measured on it.
 
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -201,7 +202,7 @@ def test_criterion_6_norm_comparison_surrogate(fixture_dir, tmp_path):
         "--out-dir", out_dir, "--seeds", "1,2,3",
     )
     assert code == 0
-    lines = open(os.path.join(out_dir, "summary.txt")).read().splitlines()
+    lines = Path(out_dir, "summary.txt").read_text().splitlines()
     assert len(lines) == 4 and lines[0].startswith("seed ")
     batch_wins = 0
     for line in lines[1:]:
@@ -246,7 +247,7 @@ def test_criterion_8_persistence_and_formats(tmp_path):
         clone = Generator.load(path)
         resaved = str(tmp_path / f"g{i}b.nrmk")
         clone.save(resaved)
-        assert open(path, "rb").read() == open(resaved, "rb").read()
+        assert Path(path).read_bytes() == Path(resaved).read_bytes()
         for name, value in g.parameters().items():
             assert np.array_equal(value, clone.parameters()[name])
 
@@ -278,15 +279,15 @@ def test_criterion_9_command_determinism(fixture_dir, tmp_path, capsys):
         assert run_cli("train", "--style", style, "--content-dir", directory,
                        "--out", out, *tiny) == 0
         weight_files.append(out)
-    assert open(weight_files[0], "rb").read() == open(weight_files[1], "rb").read()
-    assert open(weight_files[0] + ".log").read() == open(weight_files[1] + ".log").read()
+    assert Path(weight_files[0]).read_bytes() == Path(weight_files[1]).read_bytes()
+    assert Path(weight_files[0] + ".log").read_text() == Path(weight_files[1] + ".log").read_text()
 
     styled = []
     for name in ("s1.ppm", "s2.ppm"):
         dst = str(tmp_path / name)
         assert run_cli("stylize", "--weights", weight_files[0], "--input", paths[0],
                        "--output", dst, "--seed", "3") == 0
-        styled.append(open(dst, "rb").read())
+        styled.append(Path(dst).read_bytes())
     assert styled[0] == styled[1]
 
     cmp_blobs = []
@@ -295,7 +296,7 @@ def test_criterion_9_command_determinism(fixture_dir, tmp_path, capsys):
         assert run_cli("compare-norms", "--style", style, "--content-dir", directory,
                        "--out-dir", out_dir, "--seeds", "1", *tiny) == 0
         cmp_blobs.append({
-            f: open(os.path.join(out_dir, f), "rb").read()
+            f: Path(out_dir, f).read_bytes()
             for f in sorted(os.listdir(out_dir))
         })
     assert cmp_blobs[0] == cmp_blobs[1]

@@ -1,5 +1,6 @@
 import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,7 +77,7 @@ class TestTrainCommand:
                        "--out", out, *TINY)
         assert code == 0
         assert os.path.exists(out) and os.path.exists(out + ".log")
-        log = open(out + ".log").read()
+        log = Path(out + ".log").read_text()
         assert log.startswith("step 1 loss ")
         assert "# config" in log
 
@@ -88,7 +89,7 @@ class TestTrainCommand:
         g = Generator.load(out)
         resaved = str(tmp_path / "resaved.nrmk")
         g.save(resaved)
-        assert open(out, "rb").read() == open(resaved, "rb").read()
+        assert Path(out).read_bytes() == Path(resaved).read_bytes()
 
     def test_rerun_byte_identical(self, dataset, tmp_path):
         directory, _, style = dataset
@@ -98,8 +99,8 @@ class TestTrainCommand:
             assert run_cli("train", "--style", style, "--content-dir", directory,
                            "--out", out, *TINY) == 0
             outs.append(out)
-        assert open(outs[0], "rb").read() == open(outs[1], "rb").read()
-        assert open(outs[0] + ".log").read() == open(outs[1] + ".log").read()
+        assert Path(outs[0]).read_bytes() == Path(outs[1]).read_bytes()
+        assert Path(outs[0] + ".log").read_text() == Path(outs[1] + ".log").read_text()
 
     def test_missing_content_dir(self, dataset, tmp_path):
         _, _, style = dataset
@@ -110,7 +111,7 @@ class TestTrainCommand:
     def test_bad_style_file(self, dataset, tmp_path):
         directory, _, _ = dataset
         bad = str(tmp_path / "bad.ppm")
-        open(bad, "wb").write(b"not a ppm")
+        Path(bad).write_bytes(b"not a ppm")
         code = run_cli("train", "--style", bad, "--content-dir", directory,
                        "--out", str(tmp_path / "w"), *TINY)
         assert code == 3
@@ -127,7 +128,7 @@ class TestTrainCommand:
                        "--out", out_a, *TINY) == 0
         assert run_cli("train", "--style", style, "--content-dir", directory,
                        "--out", out_b, "--extractor-weights", phi_file, *TINY) == 0
-        assert open(out_a, "rb").read() == open(out_b, "rb").read()
+        assert Path(out_a).read_bytes() == Path(out_b).read_bytes()
 
     def test_extractor_weights_missing_taps_exit_3(self, dataset, tmp_path, capsys):
         from normkit.loss import FeatureExtractor
@@ -189,7 +190,7 @@ class TestStylizeCommand:
         for out in (a, b):
             assert run_cli("stylize", "--weights", weights, "--input", paths[0],
                            "--output", out, "--seed", "5") == 0
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_seed_changes_output(self, weights, dataset, tmp_path):
         _, paths, _ = dataset
@@ -198,7 +199,7 @@ class TestStylizeCommand:
                        "--output", a, "--seed", "1") == 0
         assert run_cli("stylize", "--weights", weights, "--input", paths[0],
                        "--output", b, "--seed", "2") == 0
-        assert open(a, "rb").read() != open(b, "rb").read()
+        assert Path(a).read_bytes() != Path(b).read_bytes()
 
     def test_non_divisible_dims_exit_3(self, weights, tmp_path, capsys):
         bad = str(tmp_path / "odd.ppm")
@@ -246,12 +247,12 @@ class TestStylizeCommand:
         from normkit.weights import MAGIC
 
         _, paths, _ = dataset
-        blob = bytearray(open(weights, "rb").read())
+        blob = bytearray(Path(weights).read_bytes())
         name_len = int.from_bytes(blob[len(MAGIC) + 4 : len(MAGIC) + 6], "little")
         dims_at = len(MAGIC) + 6 + name_len
         blob[dims_at : dims_at + 16] = struct.pack("<4I", 262144, 65536, 65536, 3489071104)
         bad = str(tmp_path / "overflow.nrmk")
-        open(bad, "wb").write(bytes(blob))
+        Path(bad).write_bytes(bytes(blob))
         code = run_cli("stylize", "--weights", bad, "--input", paths[0],
                        "--output", str(tmp_path / "x.ppm"))
         assert code == 3
@@ -327,7 +328,7 @@ class TestCompareNormsCommand:
             for mode in ("batch", "instance"):
                 assert os.path.exists(os.path.join(out_dir, f"seed{seed}_{mode}.log"))
                 assert os.path.exists(os.path.join(out_dir, f"seed{seed}_{mode}.ppm"))
-        lines = open(os.path.join(out_dir, "summary.txt")).read().splitlines()
+        lines = Path(out_dir, "summary.txt").read_text().splitlines()
         assert lines[0].startswith("seed ")
         assert len(lines) == 3
         for line in lines[1:]:
@@ -343,7 +344,7 @@ class TestCompareNormsCommand:
             assert run_cli("compare-norms", "--style", style, "--content-dir", directory,
                            "--out-dir", out_dir, "--seeds", "1", *TINY) == 0
             blobs.append({
-                f: open(os.path.join(out_dir, f), "rb").read()
+                f: Path(out_dir, f).read_bytes()
                 for f in sorted(os.listdir(out_dir))
             })
         assert blobs[0] == blobs[1]
@@ -434,7 +435,7 @@ class TestMiscSurface:
                 result = subprocess.run([sys.executable, "-m", "normkit.cli", *argv],
                                         capture_output=True, env=env)
                 assert result.returncode == 0, result.stderr
-            outputs.append([open(path, "rb").read() for path in (out, out + ".log", styled)])
+            outputs.append([Path(path).read_bytes() for path in (out, out + ".log", styled)])
         assert outputs[0] == outputs[1]
 
 

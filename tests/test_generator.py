@@ -5,8 +5,21 @@ import numpy as np
 import pytest
 from helpers import flip_bit
 from normkit import layers
-from normkit.errors import FormatError, MissingForward, NotCalibrated, ShapeMismatch
-from normkit.generator import Generator, GeneratorConfig, SigmoidUnit, UpsampleConvUnit, build
+from normkit.errors import (
+    FormatError,
+    InvalidArgument,
+    MissingForward,
+    NotCalibrated,
+    ShapeMismatch,
+)
+from normkit.generator import (
+    Generator,
+    GeneratorConfig,
+    ResidualBlock,
+    SigmoidUnit,
+    UpsampleConvUnit,
+    build,
+)
 from normkit.tensor import RngStream
 
 
@@ -89,6 +102,12 @@ class TestForward:
         x = content_like(2)
         with pytest.raises(ShapeMismatch):
             g.forward(x, RngStream(2).normal((1, 1, 8, 8)))
+
+    def test_unknown_mode_rejected(self):
+        g = build(GeneratorConfig(), RngStream(11))
+        x = content_like(2)
+        with pytest.raises(InvalidArgument):
+            g.forward(x, noise_for(g, x), mode="test")
 
     def test_instance_mode_contrast_invariance(self):
         g = build(GeneratorConfig(norm_mode="instance", noise_channels=0), RngStream(12))
@@ -178,6 +197,16 @@ class TestBackward:
         with pytest.raises(MissingForward):
             g.backward(np.zeros_like(y), caches)
 
+    def test_residual_block_backward_after_eval_forward_rejected(self):
+        # an eval walk returns no caches; the block must not read that as
+        # a block with nothing to differentiate and pass the gradient through
+        block = build(GeneratorConfig(), RngStream(20)).units[7]
+        assert isinstance(block, ResidualBlock)
+        x = RngStream(8).normal((1, 32, 8, 8))
+        y, caches = block.forward(x, "eval")
+        with pytest.raises(MissingForward):
+            block.backward(np.ones_like(y), caches)
+
     def test_eval_forward_peak_memory_below_half_of_train(self):
         # numpy reports its buffers to tracemalloc, so the peaks repeat exactly
         g = build(GeneratorConfig(norm_mode="instance"), RngStream(21))
@@ -193,9 +222,10 @@ class TestBackward:
                 tracemalloc.stop()
         assert peaks["eval"] < peaks["train"] / 2
 
-    def test_eval_forward_peak_memory_at_256_within_six_activations(self):
+    def test_eval_forward_peak_memory_at_256_within_3_5_activations(self):
         # an eval forward holds one band of patches per conv, never a
-        # full-image patch matrix, so its peak stays a few activations
+        # full-image patch matrix, and the walk drops each unit's cache as
+        # the unit returns, so its peak stays a few activations
         g = build(GeneratorConfig(norm_mode="instance"), RngStream(21))
         x = content_like(8, size=256)
         z = noise_for(g, x)
@@ -206,7 +236,7 @@ class TestBackward:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 6 * activation
+        assert peak <= 3.5 * activation
 
     def test_train_step_peak_memory_at_128_within_30_activations(self):
         # each train conv caches its padded input, not its patches, and the

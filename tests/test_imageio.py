@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from helpers import make_fixture_image
@@ -26,7 +28,7 @@ class TestPpmRoundTrip:
         img = random_image(5, 2, 2)
         path = str(tmp_path / "img.ppm")
         write_ppm(path, img)
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         assert blob[:9] == b"P6\n2 2\n255\n"[:9]
         assert blob == b"P6\n2 2\n255\n" + img.pixels
         assert len(blob) == 11 + 12
@@ -44,32 +46,32 @@ class TestPpmReader:
 
     def test_non_whitespace_after_maxval_rejected(self, tmp_path):
         path = str(tmp_path / "img.ppm")
-        open(path, "wb").write(b"P6\n1 1\n255#abc")
+        Path(path).write_bytes(b"P6\n1 1\n255#abc")
         with pytest.raises(FormatError, match="byte offset 10") as info:
             read_ppm(path)
         assert info.value.offset == 10
 
     def test_bad_magic(self, tmp_path):
         path = str(tmp_path / "img.ppm")
-        open(path, "wb").write(b"P5\n2 2\n255\n" + b"\x00" * 4)
+        Path(path).write_bytes(b"P5\n2 2\n255\n" + b"\x00" * 4)
         with pytest.raises(FormatError):
             read_ppm(path)
 
     def test_maxval_not_255(self, tmp_path):
         path = str(tmp_path / "img.ppm")
-        open(path, "wb").write(b"P6\n2 2\n65535\n" + b"\x00" * 24)
+        Path(path).write_bytes(b"P6\n2 2\n65535\n" + b"\x00" * 24)
         with pytest.raises(FormatError, match="maxval"):
             read_ppm(path)
 
     def test_truncated_payload_names_offset(self, tmp_path):
         path = str(tmp_path / "img.ppm")
-        open(path, "wb").write(b"P6\n2 2\n255\n" + b"\x00" * 7)
+        Path(path).write_bytes(b"P6\n2 2\n255\n" + b"\x00" * 7)
         with pytest.raises(FormatError, match="byte offset"):
             read_ppm(path)
 
     def test_non_numeric_token(self, tmp_path):
         path = str(tmp_path / "img.ppm")
-        open(path, "wb").write(b"P6\nxx 2\n255\n" + b"\x00" * 12)
+        Path(path).write_bytes(b"P6\nxx 2\n255\n" + b"\x00" * 12)
         with pytest.raises(FormatError):
             read_ppm(path)
 

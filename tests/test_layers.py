@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,6 +104,21 @@ class TestConvForward:
         assert np.allclose(y_z[:, :, 1:-1, 1:-1], expect, atol=1e-12)
         assert not np.allclose(y_z[:, :, 0, :], expect, atol=1e-6)
 
+    def test_forward_holds_one_patch_band(self):
+        # every band is copied into one buffer, so above its padded input and
+        # output a forward holds one band of patches, not two
+        x = sample_gaussian(RngStream(15), (4, 8, 64, 64))
+        p = make_conv(RngStream(16), 3, 8, 3, bias=True, padding_mode="reflect", pad=1)
+        row_bytes = 8 * 8 * 9 * 64  # C_in * K * K * OH float64 per instance
+        band_bytes = 4 * (layers.PATCH_BAND_BYTES // row_bytes) * row_bytes
+        tracemalloc.start()
+        try:
+            y, cache = conv2d_forward(x, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - y.nbytes - cache.xp.nbytes <= 1.1 * band_bytes
+
 
 class TestConvBackward:
     def test_zero_grad_out(self):
@@ -202,7 +218,6 @@ def check_conv_oracle_and_adjoint(x, p):
     y, _ = conv2d_forward(x, p)
     ref = naive_conv2d(x, p.weights, p.bias, p.stride, p.pad, p.padding_mode)
     assert np.max(np.abs(y - ref)) <= 1e-12
-    assert np.array_equal(conv2d_forward(x, p, "eval")[0], y)
     # <L(x), u> == <x, L^T(u)> and == <w, dL/dw . u> for the bias-free map
     linear = ConvParams(p.weights, None, stride=p.stride, padding_mode=p.padding_mode,
                         pad=p.pad)
@@ -241,7 +256,6 @@ def check_upsample_conv_matches_upsample_then_conv(x, p):
     ref, ref_cache = conv2d_forward(upsample_nearest(x, 2), p)
     assert y.shape == ref.shape
     assert np.max(np.abs(y - ref)) <= 1e-12
-    assert np.array_equal(upsample_conv_forward(x, p, "eval")[0], y)
     g = sample_gaussian(RngStream(5), y.shape)
     gx, gw, gb = upsample_conv_backward(g, cache, p)
     gu, ref_gw, ref_gb = conv2d_backward(g, ref_cache, p)
@@ -300,7 +314,8 @@ def train_bands(cache, y):
     """The patch bands a backward rebuilds from ``cache``, under the current budget."""
     phases = cache.window[0]
     ow, oh = y.shape[2] // phases, y.shape[3] // phases
-    return [patches for _, _, patches in layers._patch_bands(cache.xp, cache.window, ow, oh)]
+    # each band is a view of one reused buffer, so keep a copy of it
+    return [patches.copy() for _, _, patches in layers._patch_bands(cache.xp, cache.window, ow, oh)]
 
 
 def cache_arrays(obj):
@@ -324,14 +339,14 @@ TRAIN_CACHE_CASES = [
 
 
 class TestTrainCache:
-    """A train forward caches its padded input, which it owns, and no patches."""
+    """A forward caches its padded input, which it owns, and no patches."""
 
     @pytest.mark.parametrize("forward,k,stride,pad", TRAIN_CACHE_CASES)
     def test_no_cached_array_larger_than_padded_input(self, forward, k, stride, pad):
         rng = RngStream(60)
         x = sample_gaussian(rng, (2, 3, 9, 7))
         p = make_conv(rng, 4, 3, k, stride=stride, padding_mode="reflect", pad=pad)
-        _, cache = forward(x, p, "train")
+        _, cache = forward(x, p)
         padded_bytes = 2 * 3 * (9 + 2 * pad) * (7 + 2 * pad) * 8
         assert max(a.nbytes for a in cache_arrays(cache)) <= padded_bytes
 
@@ -340,10 +355,10 @@ class TestTrainCache:
         rng = RngStream(61)
         x = sample_gaussian(rng, (2, 3, 9, 7))
         p = make_conv(rng, 4, 3, k, stride=stride, padding_mode="reflect", pad=pad)
-        y, cache = forward(x.copy(), p, "train")
+        y, cache = forward(x.copy(), p)
         g = rng.normal(y.shape)
         expected = BACKWARD[forward](g, cache, p)
-        _, cache = forward(x, p, "train")
+        _, cache = forward(x, p)
         x[...] = rng.normal(x.shape)
         for got, want in zip(BACKWARD[forward](g, cache, p), expected):
             assert got.tobytes() == want.tobytes()
@@ -399,17 +414,14 @@ class TestBandedPath:
         monkeypatch.setattr(layers, "PATCH_BAND_BYTES", 3 * row_bytes - 1)  # bands of 2
         y_two, _ = forward(x, p)
         monkeypatch.setattr(layers, "PATCH_BAND_BYTES", 3 * row_bytes)
-        y_train, cache = forward(x, p, "train")
-        y_eval, cache_eval = forward(x, p, "eval")
-        assert cache_eval is None
+        y_three, cache = forward(x, p)
         # the backward rebuilds the bands from the cached input: side by side,
         # the bands of one row and of three rows hold the same patches, so
         # the backward's operands do not change
-        bands = train_bands(cache, y_train)
+        bands = train_bands(cache, y_three)
         assert 1 < len(bands) < len(bands_one)
         assert np.array_equal(np.concatenate(bands, axis=3), np.concatenate(bands_one, axis=3))
-        assert np.array_equal(y_eval, y_train)
-        assert np.max(np.abs(y_train - y_one)) <= 1e-12
+        assert np.max(np.abs(y_three - y_one)) <= 1e-12
         assert np.max(np.abs(y_two - y_one)) <= 1e-12
         # grad_x comes from one whole-image GEMM, so only grad_w sees the bands
         grad_x, grad_w, grad_b = backward(g, cache, p)
@@ -422,33 +434,20 @@ class TestBandedPath:
         (upsample_conv_forward, 4 * 3 * 4 * 13 * 8),  # 4 phases * C_in * 2 * 2 * H * 8, H = 13
     ])
     def test_band_heights_follow_one_instances_row_bytes(self, monkeypatch, forward, row_bytes):
-        # 3 rows per band; the batch size and the mode leave the partition
-        # and every band GEMM's operand layout unchanged
+        # 3 rows per band; the batch size leaves the partition and every
+        # band GEMM's operand layout unchanged
         monkeypatch.setattr(layers, "PATCH_BAND_BYTES", 3 * row_bytes)
         rng = RngStream(50)
         x = sample_gaussian(rng, (4, 3, 11, 13))
         p = make_conv(rng, 4, 3, 3, padding_mode="reflect", pad=1)
         layouts = set()
         for t_count in (1, 4):
-            y_train, cache = forward(x[:t_count], p, "train")
-            y_eval, cache_eval = forward(x[:t_count], p, "eval")
-            assert cache_eval is None
-            assert np.array_equal(y_eval, y_train)
-            bands = train_bands(cache, y_train)
+            y, cache = forward(x[:t_count], p)
+            bands = train_bands(cache, y)
             assert [patches.shape[3] // 13 for patches in bands] == [3, 3, 3, 2]
             for patches in bands:
                 layouts.add((patches.shape[1:], patches.strides[1:]))
         assert len(layouts) == 2  # one for the bands of 3 rows, one for the last band
-
-    def test_eval_cache_rejected_by_backward(self):
-        rng = RngStream(48)
-        x = sample_gaussian(rng, (1, 2, 4, 4))
-        p = make_conv(rng, 2, 2, 3, pad=1)
-        for forward, backward in ((conv2d_forward, conv2d_backward),
-                                  (upsample_conv_forward, upsample_conv_backward)):
-            y, cache = forward(x, p, "eval")
-            with pytest.raises(MissingForward):
-                backward(np.zeros_like(y), cache, p)
 
     def test_other_layers_cache_rejected_by_backward(self):
         # both layers return a ConvCache; each backward takes only its own
@@ -461,12 +460,6 @@ class TestBandedPath:
             conv2d_backward(np.zeros_like(y_up), cache_up, p)
         with pytest.raises(MissingForward):
             upsample_conv_backward(np.zeros_like(y_conv), cache_conv, p)
-
-    def test_unknown_mode_rejected(self):
-        p = make_conv(RngStream(49), 2, 2, 3, pad=1)
-        for forward in (conv2d_forward, upsample_conv_forward):
-            with pytest.raises(InvalidArgument):
-                forward(new_tensor((1, 2, 4, 4), 1.0), p, "test")
 
 
 class TestRelu:

@@ -1,10 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from helpers import fd_grad, gram_all_pairs, max_rel_err
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from normkit.errors import InvalidShape, ShapeMismatch
+from normkit.errors import InvalidShape, MissingForward, ShapeMismatch
 from normkit.loss import FeatureExtractor, StyleTarget, gram, gram_backward, total_loss
 from normkit.tensor import RngStream, new_tensor, sample_gaussian
 
@@ -57,7 +59,7 @@ class TestExtractor:
         clone = FeatureExtractor.load(path)
         resaved = str(tmp_path / "phi2.nrmk")
         clone.save(resaved)
-        assert open(resaved, "rb").read() == open(path, "rb").read()
+        assert Path(resaved).read_bytes() == Path(path).read_bytes()
         assert clone.style_taps == phi.style_taps
         assert clone.content_tap == phi.content_tap
         x = smooth_image(3)
@@ -202,6 +204,11 @@ class TestFeaturesBackward:
 
         grad = phi.backward(caches, probes)
         assert max_rel_err(grad, fd_grad(f, x)) < 1e-6
+
+    def test_one_cache_short_rejected(self, phi):
+        feats, caches = phi.forward(smooth_image(35, 16))
+        with pytest.raises(MissingForward):
+            phi.backward(caches[:-1], {tap: np.ones_like(feats[tap]) for tap in phi.taps})
 
     def test_blocks_past_deepest_tap_are_not_run(self, phi):
         # block 4 feeds no tap; poisoning it must change neither the loss

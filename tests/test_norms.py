@@ -120,6 +120,10 @@ class TestBatchNormForward:
         assert np.array_equal(rs.running_mu, saved_mu)
         assert rs.sample_count == 1
 
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(InvalidArgument):
+            batch_norm_forward(new_tensor((1, 1, 2, 2), 1.0), mode="test")
+
     def test_eval_before_training_rejected(self):
         with pytest.raises(NotCalibrated):
             batch_norm_forward(new_tensor((1, 1, 2, 2), 1.0), mode="eval", rs=RunningStats(channels=1))

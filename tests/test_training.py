@@ -66,7 +66,7 @@ class TestAdam:
         params = {"p": np.zeros((1, 1, 1, 1))}
         grads = {"p": np.ones((1, 1, 1, 1))}
         state = AdamState.for_params(params)
-        adam_step(params, grads, state, lr=1e-3, eps=1e-8)
+        adam_step(params, grads, state, lr=1e-3)
         delta = float(params["p"].ravel()[0])
         assert abs(delta + 1e-3) < 1e-8
 

@@ -1,5 +1,6 @@
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,9 +45,9 @@ class TestRoundTrip:
         assert list(back) == list(entries)
         for name, value in entries.items():
             assert back[name].tobytes() == value.tobytes() and back[name].shape == value.shape
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         save_entries(path, back)
-        assert open(path, "rb").read() == blob
+        assert Path(path).read_bytes() == blob
 
     def test_bitwise_lossless(self, tmp_path):
         entries = some_entries()
@@ -63,12 +64,12 @@ class TestRoundTrip:
         p1, p2 = str(tmp_path / "a.nrmk"), str(tmp_path / "b.nrmk")
         save_entries(p1, some_entries())
         save_entries(p2, load_entries(p1))
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_magic_prefix(self, tmp_path):
         path = str(tmp_path / "w.nrmk")
         save_entries(path, some_entries())
-        assert open(path, "rb").read(6) == MAGIC == b"NRMK1\n"
+        assert Path(path).read_bytes()[:6] == MAGIC == b"NRMK1\n"
 
     def test_exact_byte_layout(self, tmp_path):
         import struct
@@ -83,7 +84,7 @@ class TestRoundTrip:
             + struct.pack("<4I", 1, 1, 1, 2)
             + struct.pack("<2d", 1.5, 1.5)
         )
-        assert open(path, "rb").read() == expect
+        assert Path(path).read_bytes() == expect
 
     def test_negative_zero_and_specials_preserved(self, tmp_path):
         arr = np.array([-0.0, 1e-308, 1e308, -1.5]).reshape(1, 1, 2, 2)
@@ -96,15 +97,15 @@ class TestRoundTrip:
 class TestErrors:
     def test_bad_magic(self, tmp_path):
         path = str(tmp_path / "w.nrmk")
-        open(path, "wb").write(b"NOPE!\n\x00\x00\x00\x00")
+        Path(path).write_bytes(b"NOPE!\n\x00\x00\x00\x00")
         with pytest.raises(FormatError, match="magic"):
             load_entries(path)
 
     def test_truncated_payload(self, tmp_path):
         path = str(tmp_path / "w.nrmk")
         save_entries(path, some_entries())
-        blob = open(path, "rb").read()
-        open(path, "wb").write(blob[:-4])
+        blob = Path(path).read_bytes()
+        Path(path).write_bytes(blob[:-4])
         with pytest.raises(FormatError, match="truncated"):
             load_entries(path)
 
@@ -129,12 +130,21 @@ class TestErrors:
     def test_non_utf8_name_rejected_with_offset(self, tmp_path):
         path = str(tmp_path / "w.nrmk")
         save_entries(path, {"ab": np.ones((1, 1, 1, 1))})
-        blob = bytearray(open(path, "rb").read())
+        blob = bytearray(Path(path).read_bytes())
         name_at = len(MAGIC) + 4 + 2  # after the entry count and the name length
         blob[name_at] = 0xFF
-        open(path, "wb").write(bytes(blob))
+        Path(path).write_bytes(bytes(blob))
         with pytest.raises(FormatError, match=f"UTF-8 \\(byte offset {name_at}\\)"):
             load_entries(path)
+
+    def test_duplicate_name_rejected_at_the_names_first_byte(self, tmp_path):
+        entry = struct.pack("<H", 1) + b"a" + struct.pack("<4I", 1, 1, 1, 1) + bytes(8)
+        path = tmp_path / "w.nrmk"
+        path.write_bytes(MAGIC + struct.pack("<I", 2) + entry + entry)
+        name_at = len(MAGIC) + 4 + len(entry) + 2  # the second entry's name
+        match = f"duplicate entry name 'a' \\(byte offset {name_at}\\)"
+        with pytest.raises(FormatError, match=match):
+            load_entries(str(path))
 
     def test_dims_whose_int64_product_wraps_rejected_with_offset(self, tmp_path):
         # sized as an int64 product these dims need 0 payload bytes, so the
@@ -143,10 +153,10 @@ class TestErrors:
         assert int(np.prod(dims, dtype=np.int64)) == 0
         path = str(tmp_path / "w.nrmk")
         save_entries(path, {"ab": np.ones((1, 1, 1, 1))})
-        blob = bytearray(open(path, "rb").read())
+        blob = bytearray(Path(path).read_bytes())
         dims_at = len(MAGIC) + 4 + 2 + 2  # after the count, the name length and "ab"
         blob[dims_at : dims_at + 16] = struct.pack("<4I", *dims)
-        open(path, "wb").write(bytes(blob))
+        Path(path).write_bytes(bytes(blob))
         match = f"truncated while reading payload of 'ab' \\(byte offset {dims_at + 16}\\)"
         with pytest.raises(FormatError, match=match):
             load_entries(path)
