@@ -25,19 +25,22 @@ reads contiguous rows of the padded input, and each phase's GEMM is
 ``(C_out, C_in*k*k) @ (C_in*k*k, OW*OH)``, run by a stacked ``matmul`` as one
 GEMM per instance and phase. The backward's input-gradient columns come out
 in the same layout, so each of the ``P*k*k`` strided slice-adds into the
-padded gradient reads contiguous ``(OW, OH)`` planes.
+padded gradient reads contiguous ``(rows, OH)`` planes.
 
-The forward runs one loop over bands of output rows (low-res rows for the
-fused layer). Every band is copied into one buffer of at most
+Forward and backward each run one loop over bands of output rows (low-res
+rows for the fused layer). Every band is copied into one buffer of at most
 ``PATCH_BAND_BYTES`` per instance, allocated once per call, and runs its own
 GEMMs; the last, shorter band is a contiguous prefix of that buffer, so
 each band GEMM's operand has the shape and strides of a fresh array.
 Training and inference run the same forward. It returns its padded input
 as the cache, and the backward rebuilds each band from it with the same
-generator, so no layer's full patch matrix is ever held; a caller that
-will not backpropagate drops the cache. The band height depends only on
-one instance's geometry, never on the batch size, so an instance's rows
-stay bitwise independent of its batch companions.
+generator, adds the band's weight-gradient term, then builds the band's
+input-gradient columns in the same buffer. So no layer's full patch or
+column matrix is ever held; a caller that will not backpropagate drops the
+cache. With more than one band the gradients' last bits depend on the band
+height. That height depends only on one instance's geometry, never on the
+batch size, so an instance's rows stay bitwise independent of its batch
+companions.
 """
 
 from __future__ import annotations
@@ -216,7 +219,7 @@ def _patch_gemm_backward(
         raise ShapeMismatch(
             f"grad_out shape {grad_out.shape} != forward output {cache.out_shape}"
         )
-    phases, k, stride, pad, pad_mode = window
+    phases, k, s, pad, pad_mode = window  # s: the stride
     t_count, c_in, wp, hp = cache.xp.shape
     c_out = w_ph.shape[1]
     ow, oh = grad_out.shape[2] // phases, grad_out.shape[3] // phases
@@ -225,20 +228,22 @@ def _patch_gemm_backward(
     g = np.ascontiguousarray(
         grad_out.reshape(t_count, c_out, ow, phases, oh, phases).transpose(0, 3, 5, 1, 2, 4)
     ).reshape(t_count, phases * phases, c_out, ow * oh)
-    # the forward's bands, rebuilt one at a time from the cached padded input
-    grad_w = np.add.reduce([
-        np.matmul(g[..., r0 * oh : r1 * oh], patches.transpose(0, 1, 3, 2)).sum(axis=0)
-        for r0, r1, patches in _patch_bands(cache.xp, window, ow, oh)
-    ])
-    # (T, a, b, C_in, d, e, OW, OH): contiguous (OW, OH) planes per channel
-    gcols = np.matmul(w_ph.transpose(0, 2, 1), g).reshape(
-        t_count, phases, phases, c_in, k, k, ow, oh
-    )
-    # tap (d, e) of phase (a, b) read the padded input at offset (a+d, b+e)
+    # the forward's bands, rebuilt one at a time from the cached padded input:
+    # each adds its weight-gradient term, then takes its input-gradient columns
     gxp = np.zeros((t_count, c_in, wp, hp))
-    s = stride
-    for a, b, d, e in np.ndindex(phases, phases, k, k):
-        gxp[:, :, a + d : a + d + ow * s : s, b + e : b + e + oh * s : s] += gcols[:, a, b, :, d, e]
+    for r0, r1, patches in _patch_bands(cache.xp, window, ow, oh):
+        g_band = g[..., r0 * oh : r1 * oh]
+        term = np.matmul(g_band, patches.transpose(0, 1, 3, 2)).sum(axis=0)
+        grad_w = term if r0 == 0 else grad_w + term
+        # (T, a, b, C_in, d, e, rows, OH): contiguous (rows, OH) planes per channel
+        np.matmul(w_ph.transpose(0, 2, 1), g_band, out=patches)
+        cols = patches.reshape(t_count, phases, phases, c_in, k, k, r1 - r0, oh)
+        # tap (d, e) of phase (a, b) read the padded input at offset (a+d, b+e)
+        for a, b, d, e in np.ndindex(phases, phases, k, k):
+            gxp[:, :, a + d + r0 * s : a + d + r1 * s : s, b + e : b + e + oh * s : s] += (
+                cols[:, a, b, :, d, e]
+            )
+    del patches, cols  # the band buffer goes before the un-pad copies gxp
     return _unpad(gxp, pad, pad_mode), grad_w, grad_b
 
 

@@ -5,6 +5,8 @@ paths: direct nested-loop convolution and nearest upsampling, elementwise
 central differences.
 """
 
+import tracemalloc
+
 import numpy as np
 
 
@@ -92,6 +94,16 @@ def fd_grad(f, x, h=1e-5):
         x[idx] = orig
         g[idx] = (fp - fm) / (2.0 * h)
     return g
+
+
+def traced_peak(fn, *args):
+    """Peak live bytes, of those allocated while ``fn(*args)`` runs (numpy reports its buffers)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def flip_bit(entries, name, bit):

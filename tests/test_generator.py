@@ -1,9 +1,8 @@
 import hashlib
-import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import flip_bit
+from helpers import flip_bit, traced_peak
 from normkit import layers
 from normkit.errors import (
     FormatError,
@@ -212,14 +211,7 @@ class TestBackward:
         g = build(GeneratorConfig(norm_mode="instance"), RngStream(21))
         x = content_like(8, size=128)
         z = noise_for(g, x)
-        peaks = {}
-        for mode in ("train", "eval"):
-            tracemalloc.start()
-            try:
-                g.forward(x, z, mode=mode)
-                peaks[mode] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        peaks = {mode: traced_peak(g.forward, x, z, mode) for mode in ("train", "eval")}
         assert peaks["eval"] < peaks["train"] / 2
 
     def test_eval_forward_peak_memory_at_256_within_3_5_activations(self):
@@ -230,30 +222,23 @@ class TestBackward:
         x = content_like(8, size=256)
         z = noise_for(g, x)
         activation = 8 * 8 * 256 * 256  # bytes of one (1, 8, 256, 256) float64 map
-        tracemalloc.start()
-        try:
-            g.forward(x, z, mode="eval")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3.5 * activation
+        assert traced_peak(g.forward, x, z, "eval") <= 3.5 * activation
 
-    def test_train_step_peak_memory_at_128_within_30_activations(self):
+    def test_train_step_peak_memory_at_128_within_18_activations(self):
         # each train conv caches its padded input, not its patches, and the
-        # backward rebuilds one band at a time, so a step holds no layer's
-        # full patch matrix
+        # backward rebuilds one band at a time and builds that band's
+        # input-gradient columns in the same buffer, so a step holds no
+        # layer's full patch or gradient-column matrix
         g = build(GeneratorConfig(norm_mode="instance"), RngStream(21))
         x = content_like(8, size=128)
         z = noise_for(g, x)
         activation = 8 * 8 * 128 * 128  # bytes of one (1, 8, 128, 128) float64 map
-        tracemalloc.start()
-        try:
+
+        def step():
             y, caches = g.forward(x, z, mode="train")
             g.backward(np.ones_like(y), caches)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 30 * activation
+
+        assert traced_peak(step) <= 18 * activation
 
     @pytest.mark.parametrize("norm_mode", ["none", "batch", "instance"])
     def test_sampled_parameter_gradients_match_fd(self, norm_mode):

@@ -98,6 +98,20 @@ class TestBatchNormForward:
             yi, _ = instance_norm_forward(x, eps=1e-5)
             assert np.max(np.abs(yb - yi)) <= 1e-12
 
+    @settings(max_examples=50)
+    @given(shape=st.tuples(st.just(1), st.integers(1, 6), st.integers(1, 8), st.integers(1, 8)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_t1_train_batch_norm_is_instance_norm_bitwise(self, shape, seed):
+        # at T=1 the (T, W, H) groups are the (W, H) groups, reduced in the
+        # same member order, so the two norms are one map in both directions
+        rng = RngStream(seed)
+        x = sample_gaussian(rng, shape)
+        g = sample_gaussian(rng, shape)
+        yb, cache_b = batch_norm_forward(x, eps=1e-5, mode="train")
+        yi, cache_i = instance_norm_forward(x, eps=1e-5)
+        assert yb.tobytes() == yi.tobytes()
+        assert norm_backward(g, cache_b).tobytes() == norm_backward(g, cache_i).tobytes()
+
     def test_running_stats_update_rule(self):
         rs = RunningStats(channels=2)
         x = sample_gaussian(RngStream(60), (2, 2, 4, 4))

@@ -1,8 +1,6 @@
-import tracemalloc
-
 import numpy as np
 import pytest
-from helpers import write_fixture
+from helpers import traced_peak, write_fixture
 
 from normkit.errors import Diverged, InputError, InvalidArgument, ShapeMismatch
 from normkit.generator import build
@@ -207,16 +205,11 @@ class TestTrain:
         # train drops a step's caches and gradients before the next forward,
         # so a 2-step run peaks where a 1-step run does
         paths, style = write_fixture(str(tmp_path), size=64)
-        peaks = []
-        for steps in (1, 2):
-            config = TrainConfig(style=style, dataset=paths, steps=steps, norm_mode="batch",
-                                 padding_mode="zero")
-            tracemalloc.start()
-            try:
-                train(config)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+        peaks = [
+            traced_peak(train, TrainConfig(style=style, dataset=paths, steps=steps,
+                                           norm_mode="batch", padding_mode="zero"))
+            for steps in (1, 2)
+        ]
         assert peaks[1] <= 1.01 * peaks[0]
 
     def test_invalid_config_rejected(self, dataset):
