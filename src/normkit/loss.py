@@ -8,9 +8,9 @@ feature map as-is so layout is preserved. The loss is
     msd(Gram(output tap), Gram target)
 
 with msd = mean squared difference. Each instance of the batch has its own
-Gram matrix, computed in one call per tap, and a style msd averages over
-instances and channel pairs alike. Gradients flow back through the Gram map
-and the frozen extractor to the image.
+Gram matrix, one GEMM per instance in one call per tap, and a style msd
+averages over instances and channel pairs alike. Gradients flow back through
+the Gram map and the frozen extractor to the image.
 
 The extractor stands in for a classification-pretrained network, which is
 far out of desk-scale scope: by default it is a frozen stack of seeded
@@ -154,18 +154,13 @@ def gram(feature_map: Tensor4) -> np.ndarray:
     """Per-instance spatially averaged channel products, shape (T, C, C):
     G_tij = (1/WH) sum_s F_tis F_tjs.
 
-    Each instance's products are sorted before the sequential sum, which makes
-    its result bitwise invariant under any spatial permutation of the sites and
-    independent of its batch companions; pairs i <= j are summed, then mirrored.
+    One GEMM per instance (a stacked matmul), so instance t's matrix is
+    bitwise the one it gets alone, whatever its batch companions.
     """
     require_tensor4(feature_map, "feature_map")
     t, c, w, h = feature_map.shape
     flat = feature_map.reshape(t, c, w * h)
-    i, j = np.triu_indices(c)
-    products = np.sort(flat[:, i] * flat[:, j], axis=2)
-    g = np.empty((t, c, c))
-    g[:, i, j] = g[:, j, i] = np.add.accumulate(products, axis=2, out=products)[..., -1] / (w * h)
-    return g
+    return np.matmul(flat, flat.transpose(0, 2, 1)) / (w * h)
 
 
 def gram_backward(grad_g: np.ndarray, feature_map: Tensor4) -> Tensor4:

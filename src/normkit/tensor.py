@@ -88,7 +88,7 @@ def reduce(x: Tensor4, axes, kind: str = "sum") -> Tensor4:
 
 
 class RngStream:
-    """Seeded, splittable, counter-based random stream (Philox 4x64).
+    """Seeded counter-based random stream (Philox 4x64), one of many per seed.
 
     Identical (seed, stream) pairs produce identical sample sequences on
     every platform; the algorithm identifier travels with saved runs so a
@@ -102,10 +102,6 @@ class RngStream:
         self.stream = int(stream) & 0xFFFFFFFFFFFFFFFF
         key = np.array([self.seed, self.stream], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
-
-    def split(self, stream: int) -> "RngStream":
-        """Derive an independent stream from the same seed."""
-        return RngStream(self.seed, stream)
 
     @property
     def generator(self) -> np.random.Generator:

@@ -1,10 +1,11 @@
 """Shared oracles for the test suite.
 
 These stay deliberately naive and independent of the library's vectorized
-paths: direct nested-loop convolution and nearest upsampling, elementwise
-central differences.
+paths: direct nested-loop convolution and nearest upsampling, an exactly rounded
+Gram, elementwise central differences.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -73,11 +74,15 @@ def upsample_nearest_adjoint(g, factor):
 
 
 def gram_all_pairs(f):
-    """Gram over all C*C channel pairs: each pair's products sorted, then summed in order."""
+    """Gram entry by entry, each an exactly rounded sum (math.fsum) of its site products."""
     t, c, w, h = f.shape
     flat = f.reshape(t, c, w * h)
-    products = np.sort(flat[:, :, None, :] * flat[:, None, :, :], axis=3)
-    return np.add.accumulate(products, axis=3)[..., -1] / (w * h)
+    g = np.zeros((t, c, c))
+    for n in range(t):
+        for i in range(c):
+            for j in range(c):
+                g[n, i, j] = math.fsum(flat[n, i] * flat[n, j]) / (w * h)
+    return g
 
 
 def fd_grad(f, x, h=1e-5):

@@ -105,12 +105,6 @@ class TestSampleGaussian:
             sample_gaussian(RngStream(1), (1, 0, 2, 2))
 
     def test_streams_differ(self):
-        root = RngStream(7)
-        a = sample_gaussian(root.split(1), (1, 1, 4, 4))
-        b = sample_gaussian(root.split(2), (1, 1, 4, 4))
+        a = sample_gaussian(RngStream(7, 1), (1, 1, 4, 4))
+        b = sample_gaussian(RngStream(7, 2), (1, 1, 4, 4))
         assert not np.array_equal(a, b)
-
-    def test_split_is_deterministic(self):
-        a = sample_gaussian(RngStream(7).split(3), (1, 1, 4, 4))
-        b = sample_gaussian(RngStream(7, 3), (1, 1, 4, 4))
-        assert np.array_equal(a, b)

@@ -152,6 +152,25 @@ class TestTrain:
             per_instance.append(total_loss(target, phi, images[i], y)[0])
         assert report.losses[0] == pytest.approx(sum(per_instance) / 2.0, rel=1e-12)
 
+    @pytest.mark.parametrize("padding_mode", ["zero", "reflect"])
+    @pytest.mark.parametrize("affine", [False, True])
+    def test_batch_size_one_makes_the_arms_one_run(self, dataset, padding_mode, affine):
+        # at T=1 train-mode batch norm reduces over instance norm's groups, so the
+        # arms train bitwise alike; only batch norm's running statistics set them apart
+        paths, style = dataset
+        runs = {mode: train(tiny_config(paths, style, steps=15, batch_size=1, norm_mode=mode,
+                                         padding_mode=padding_mode, affine=affine))
+                for mode in ("batch", "instance")}
+        (g_bn, r_bn), (g_in, r_in) = runs["batch"], runs["instance"]
+        assert r_bn.losses == r_in.losses
+        assert r_bn.param_checksum == r_in.param_checksum
+
+        x = load_image_tensor(paths[-1])
+        z = RngStream(3).normal((1, 1, 32, 32))
+        y_in = g_in.forward(x, z, mode="eval")[0]
+        assert not np.array_equal(g_bn.forward(x, z, mode="eval")[0], y_in)
+        assert g_bn.forward(x, z, mode="train")[0].tobytes() == y_in.tobytes()
+
     def test_unreadable_image_raises_input_error(self, dataset):
         _, style = dataset
         with pytest.raises(InputError):
