@@ -121,6 +121,10 @@ class TestGram:
         scale = (flat[:, :, None, :] * flat[:, None, :, :]).sum(axis=3) / (w * h)
         assert (np.abs(gram(f) - gram_all_pairs(f)) <= 1e-13 * scale).all()
 
+    def test_symmetric_bitwise(self):
+        g = gram(sample_gaussian(RngStream(6), (1, 5, 3, 3)))
+        assert np.array_equal(g, g.transpose(0, 2, 1))
+
     def test_psd_up_to_rounding(self, phi):
         target = StyleTarget.from_style_image(phi, smooth_image(7))
         for mat in target.gram_targets.values():
