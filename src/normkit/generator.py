@@ -37,8 +37,6 @@ from .layers import (
     ConvParams,
     conv2d_backward,
     conv2d_forward,
-    relu_backward,
-    relu_forward,
     upsample_conv_backward,
     upsample_conv_forward,
 )
@@ -196,12 +194,12 @@ class NormUnit:
     def backward(self, g, cache):
         if self.kind == "none":
             return g, {}
-        grads = {}
-        if self.affine:
-            grads[f"{self.name}.gamma"] = reduce(g * cache.normalized, "TWH", "sum")
-            grads[f"{self.name}.beta"] = reduce(g, "TWH", "sum")
-            g = g * self.gamma
-        return norm_backward(g, cache), grads
+        # norm_backward first: it rejects an eval forward's missing cache
+        gx = norm_backward(g * self.gamma if self.affine else g, cache)
+        if not self.affine:
+            return gx, {}
+        return gx, {f"{self.name}.gamma": reduce(g * cache.normalized, "TWH", "sum"),
+                    f"{self.name}.beta": reduce(g, "TWH", "sum")}
 
     def parameters(self):
         if self.affine:
@@ -219,10 +217,12 @@ class ParameterFreeUnit:
 
 class ReluUnit(ParameterFreeUnit):
     def forward(self, x, mode):
-        return relu_forward(x)
+        return np.maximum(x, 0.0), x
 
     def backward(self, g, cache):
-        return relu_backward(g, cache), {}
+        if cache is None:
+            raise MissingForward("relu backward called without a forward cache")
+        return g * (cache > 0.0), {}  # the subgradient at exactly 0 is 0
 
 
 class SigmoidUnit(ParameterFreeUnit):

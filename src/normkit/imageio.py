@@ -3,8 +3,8 @@
 The writer emits exactly ``P6\\n<w> <h>\\n255\\n`` followed by the RGB
 payload. The reader is liberal in what it accepts: arbitrary whitespace
 between header tokens and ``#`` comments wherever whitespace may appear,
-except that exactly one whitespace byte follows maxval. Only maxval 255 is
-supported.
+except that exactly one whitespace byte follows maxval. Header numbers are
+ASCII decimal digits, and only maxval 255 is supported.
 
 Images convert to (1, 3, W, H) tensors by value/255 and back by
 round(clamp(v, 0, 1) * 255).
@@ -68,10 +68,10 @@ def read_ppm(path: str) -> ImageRGB:
     fields = []
     for what in ("width", "height", "maxval"):
         token, off = _next_token(blob, off)
-        try:
-            fields.append(int(token))
-        except ValueError:
+        # ASCII decimal only: int() would also take b"+2" and b"1_0"
+        if not token.isdigit():
             raise FormatError(f"non-numeric {what} token {token!r}", offset=off - len(token))
+        fields.append(int(token))
     width, height, maxval = fields
     if width < 1 or height < 1:
         raise FormatError(f"bad dimensions {width}x{height}", offset=off)

@@ -1,5 +1,5 @@
-"""Differentiable building blocks: convolution, ReLU, and nearest-upsample
-x2 fused with the 3x3 conv that follows it.
+"""Differentiable building blocks: convolution, and nearest-upsample x2 fused
+with the 3x3 conv that follows it.
 
 Every forward returns ``(output, cache)``; the matching backward consumes
 the cache and returns exact gradients of the forward map. Convolution is
@@ -98,11 +98,6 @@ class ConvCache:
     xp: np.ndarray  # the padded input, owned; the backward rebuilds its patch bands
     window: tuple  # (phases, k, stride, pad, np.pad mode)
     out_shape: tuple  # (T, C_out, phases*OW, phases*OH)
-
-
-@dataclass
-class ReluCache:
-    x: np.ndarray
 
 
 def _pad(x: Tensor4, pad: int, mode: str) -> np.ndarray:
@@ -265,23 +260,6 @@ def conv2d_backward(
     w_mat = p.weights.reshape(1, p.weights.shape[0], -1)
     grad_x, grad_w, grad_b = _patch_gemm_backward(grad_out, cache, _conv_window(p), w_mat, p.bias)
     return grad_x, grad_w.reshape(p.weights.shape), grad_b
-
-
-def relu_forward(x: Tensor4) -> tuple[Tensor4, ReluCache]:
-    """max(0, x) elementwise."""
-    require_tensor4(x, "x")
-    return np.maximum(x, 0.0), ReluCache(x=x)
-
-
-def relu_backward(grad_out: Tensor4, cache: ReluCache) -> Tensor4:
-    """Pass gradient where x > 0; the subgradient at exactly 0 is 0."""
-    if not isinstance(cache, ReluCache):
-        raise MissingForward("relu_backward called without a forward cache")
-    if grad_out.shape != cache.x.shape:
-        raise ShapeMismatch(
-            f"grad_out shape {grad_out.shape} != forward input {cache.x.shape}"
-        )
-    return grad_out * (cache.x > 0.0)
 
 
 # along one axis of a nearest x2 upsample, 2x2 tap d of phase a sums the 3x3

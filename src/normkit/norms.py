@@ -50,7 +50,7 @@ class RunningStats:
 
 @dataclass
 class NormCache:
-    """Forward residue consumed by the backward pass.
+    """Forward residue of a train-mode pass, consumed by the backward pass.
 
     ``mu`` and ``var`` are the per-group mean/variance the forward pass
     used: (1, C, 1, 1) for batch norm and (T, C, 1, 1) for instance norm,
@@ -61,7 +61,6 @@ class NormCache:
     var: np.ndarray
     normalized: np.ndarray
     inv_std: np.ndarray
-    mode: str
     group_axes: str  # "TWH" for batch norm, "WH" for instance norm
 
 
@@ -100,11 +99,12 @@ def batch_norm_forward(
     eps: float = DEFAULT_EPS,
     mode: str = "train",
     rs: RunningStats | None = None,
-) -> tuple[Tensor4, NormCache]:
+) -> tuple[Tensor4, NormCache | None]:
     """Normalize per channel over (T, W, H).
 
     Train mode uses batch statistics and updates ``rs``; eval mode
-    normalizes with the running statistics and leaves them untouched.
+    normalizes with the running statistics, leaves them untouched and keeps
+    no cache, so it cannot be backpropagated.
     """
     require_tensor4(x, "x")
     if eps < 0:
@@ -118,15 +118,14 @@ def batch_norm_forward(
             f"running stats track {rs.running_mu.shape[1]} channels, input has {x.shape[1]}"
         )
     if mode == "eval":
-        y, mu, var, inv_std = _norm_forward(x, eps, "TWH", rs.running_mu, rs.running_var)
-    else:
-        y, mu, var, inv_std = _norm_forward(x, eps, "TWH")
-        if rs is not None:
-            m = DEFAULT_MOMENTUM
-            rs.running_mu = (1.0 - m) * rs.running_mu + m * mu
-            rs.running_var = (1.0 - m) * rs.running_var + m * var
-            rs.sample_count += 1
-    return y, NormCache(mu, var, normalized=y, inv_std=inv_std, mode=mode, group_axes="TWH")
+        return _norm_forward(x, eps, "TWH", rs.running_mu, rs.running_var)[0], None
+    y, mu, var, inv_std = _norm_forward(x, eps, "TWH")
+    if rs is not None:
+        m = DEFAULT_MOMENTUM
+        rs.running_mu = (1.0 - m) * rs.running_mu + m * mu
+        rs.running_var = (1.0 - m) * rs.running_var + m * var
+        rs.sample_count += 1
+    return y, NormCache(mu, var, normalized=y, inv_std=inv_std, group_axes="TWH")
 
 
 def instance_norm_forward(x: Tensor4, eps: float = DEFAULT_EPS) -> tuple[Tensor4, NormCache]:
@@ -139,14 +138,14 @@ def instance_norm_forward(x: Tensor4, eps: float = DEFAULT_EPS) -> tuple[Tensor4
     if eps < 0:
         raise InvalidArgument(f"eps must be >= 0, got {eps}")
     y, mu, var, inv_std = _norm_forward(x, eps, "WH")
-    return y, NormCache(mu, var, normalized=y, inv_std=inv_std, mode="train", group_axes="WH")
+    return y, NormCache(mu, var, normalized=y, inv_std=inv_std, group_axes="WH")
 
 
 def norm_backward(grad_out: Tensor4, cache: NormCache) -> Tensor4:
-    """Gradient of batch or instance norm w.r.t. its input.
+    """Gradient of train-mode batch or instance norm w.r.t. its input.
 
-    Train mode differentiates through the group mean and variance; eval-mode
-    batch norm treats its running statistics as constants.
+    Differentiates through the group mean and variance; an eval-mode batch
+    norm keeps no cache, so it has no backward.
     """
     if not isinstance(cache, NormCache):
         raise MissingForward("norm backward called without a forward cache")
@@ -154,9 +153,6 @@ def norm_backward(grad_out: Tensor4, cache: NormCache) -> Tensor4:
         raise ShapeMismatch(
             f"grad_out shape {grad_out.shape} != forward output {cache.normalized.shape}"
         )
-    if cache.mode == "eval":
-        # running statistics are constants; the map is a fixed affine rescale
-        return grad_out * cache.inv_std
     axes = cache.group_axes
     y = cache.normalized
     g_mean = reduce(grad_out, axes, "mean")

@@ -1,4 +1,5 @@
-"""Dense 4-D float64 tensors and a seeded counter-based Gaussian sampler.
+"""Dense 4-D float64 tensors: the shape check, grouped reduction, and a seeded
+counter-based random stream.
 
 A tensor is a plain ``numpy.ndarray`` with ``dtype == float64`` and rank 4,
 laid out as (T, C, W, H): batch, channel, width, height. All operations
@@ -21,37 +22,17 @@ _AXIS_INDEX = {name: i for i, name in enumerate(AXIS_NAMES)}
 Tensor4 = np.ndarray  # rank 4, float64, (T, C, W, H)
 
 
-def check_shape(shape) -> tuple[int, int, int, int]:
-    """Validate a 4-tuple of positive integer dimensions."""
-    try:
-        dims = tuple(int(d) for d in shape)
-        if any(d != orig for d, orig in zip(dims, shape)):
-            raise ValueError
-    except (TypeError, ValueError):
-        raise InvalidShape(f"shape must be a 4-tuple of integers, got {shape!r}")
-    if len(dims) != 4:
-        raise InvalidShape(f"expected 4 dimensions, got {len(dims)}: {shape!r}")
-    if any(d < 1 for d in dims):
-        raise InvalidShape(f"all dimensions must be >= 1, got {dims}")
-    return dims
-
-
 def require_tensor4(x, name: str = "tensor") -> Tensor4:
-    """Assert that ``x`` is a rank-4 float64 array and return it."""
+    """Assert that ``x`` is a rank-4 float64 array with no empty axis and return it."""
     if not isinstance(x, np.ndarray) or x.ndim != 4 or x.dtype != np.float64:
         raise InvalidShape(
             f"{name} must be a 4-D float64 ndarray, got "
             f"{type(x).__name__} with shape {getattr(x, 'shape', None)} "
             f"dtype {getattr(x, 'dtype', None)}"
         )
-    check_shape(x.shape)
+    if 0 in x.shape:
+        raise InvalidShape(f"{name} dimensions must be >= 1, got {x.shape}")
     return x
-
-
-def new_tensor(shape, fill: float = 0.0) -> Tensor4:
-    """Allocate a (T, C, W, H) tensor with every element equal to ``fill``."""
-    dims = check_shape(shape)
-    return np.full(dims, float(fill), dtype=np.float64)
 
 
 def _parse_axes(axes) -> list[int]:
@@ -118,9 +99,3 @@ class RngStream:
 
     def integers(self, low: int, high: int) -> int:
         return int(self._gen.integers(low, high))
-
-
-def sample_gaussian(rng: RngStream, shape) -> Tensor4:
-    """Draw i.i.d. standard-normal values into a (T, C, W, H) tensor."""
-    dims = check_shape(shape)
-    return rng.normal(dims)

@@ -169,22 +169,16 @@ def load_extractor(config: TrainConfig) -> FeatureExtractor:
     return FeatureExtractor.seeded(config.extractor_seed)
 
 
-class _BatchSampler:
-    """Seeded shuffled round-robin over dataset indices."""
-
-    def __init__(self, count: int, batch_size: int, rng: RngStream):
-        self.count = count
-        self.batch_size = batch_size
-        self.rng = rng
-        self.order: list[int] = []
-
-    def next_batch(self) -> list[int]:
+def _batches(count: int, batch_size: int, rng: RngStream):
+    """Yield batches of dataset indices: a seeded shuffled round-robin."""
+    order: list[int] = []
+    while True:
         batch = []
-        while len(batch) < self.batch_size:
-            if not self.order:
-                self.order = list(self.rng.permutation(self.count))
-            batch.append(self.order.pop(0))
-        return batch
+        while len(batch) < batch_size:
+            if not order:
+                order = list(rng.permutation(count))
+            batch.append(order.pop(0))
+        yield batch
 
 
 def train(config: TrainConfig) -> tuple[Generator, RunReport]:
@@ -209,13 +203,13 @@ def train(config: TrainConfig) -> tuple[Generator, RunReport]:
     g = build(config.generator_config(), RngStream(config.seed, STREAM_INIT))
     params = g.parameters()
     state = AdamState.for_params(params)
-    sampler = _BatchSampler(len(images), config.batch_size, RngStream(config.seed, STREAM_SHUFFLE))
+    batches = _batches(len(images), config.batch_size, RngStream(config.seed, STREAM_SHUFFLE))
     noise_rng = RngStream(config.seed, STREAM_NOISE)
 
     nz = config.noise_channels
     report = RunReport(config_echo=config_echo(config))
     for step in range(1, config.steps + 1):
-        idx = sampler.next_batch()
+        idx = next(batches)
         x = np.concatenate([images[i] for i in idx], axis=0)
         feats_c = np.concatenate([content_feats[i] for i in idx], axis=0)
         z = noise_rng.normal((x.shape[0], nz, x.shape[2], x.shape[3])) if nz > 0 else None

@@ -23,7 +23,7 @@ from normkit.norms import (
     contrast_norm,
     instance_norm_forward,
 )
-from normkit.tensor import RngStream, sample_gaussian
+from normkit.tensor import RngStream
 from normkit.gradcheck import gradcheck
 from normkit.training import TrainConfig, train
 
@@ -64,7 +64,7 @@ def test_criterion_2_normalization_identities():
     # (a) batch norm at T=1 coincides with instance norm
     worst_a = 0.0
     for seed in range(100):
-        x = sample_gaussian(RngStream(1000 + seed), (1, 3, 6, 5))
+        x = RngStream(1000 + seed).normal((1, 3, 6, 5))
         yb, _ = batch_norm_forward(x, eps=1e-5, mode="train")
         yi, _ = instance_norm_forward(x, eps=1e-5)
         worst_a = max(worst_a, float(np.max(np.abs(yb - yi))))
@@ -75,7 +75,7 @@ def test_criterion_2_normalization_identities():
     worst_mean, worst_var_low = 0.0, 1.0
     floored_planes = 0
     for seed, scale in [(1, 1.0), (2, 1.0), (3, 0.11), (4, 2.0)]:
-        x = scale * sample_gaussian(RngStream(2000 + seed), (2, 3, 8, 8))
+        x = scale * RngStream(2000 + seed).normal((2, 3, 8, 8))
         y, cache = instance_norm_forward(x, eps=1e-5)
         eligible = cache.var.reshape(2, 3) >= 1e-2
         floored_planes += int(eligible.sum())
@@ -91,7 +91,7 @@ def test_criterion_2_normalization_identities():
     # (c) shift/scale invariance, the contrast-discarding claim made literal
     worst_c = 0.0
     for seed in range(5):
-        x = 2.0 * sample_gaussian(RngStream(3000 + seed), (2, 3, 16, 16))
+        x = 2.0 * RngStream(3000 + seed).normal((2, 3, 16, 16))
         y, _ = instance_norm_forward(x, eps=1e-5)
         planes = np.ones((x.shape[0], x.shape[1], 1, 1))
         alternating = planes.copy()
@@ -129,7 +129,7 @@ def test_criterion_3_conv_oracle_equivalence():
         c_in = 1 + (i % 3)
         c_out = 1 + ((i + 1) % 3)
         size = max(6, k + 1)
-        x = sample_gaussian(rng, (t, c_in, size, size + 1))
+        x = rng.normal((t, c_in, size, size + 1))
         w = rng.normal((c_out, c_in, k, k))
         b = rng.normal((1, 1, 1, c_out)).ravel()
         p = ConvParams(w, b, stride=stride, padding_mode=mode, pad=pad)
@@ -141,7 +141,7 @@ def test_criterion_3_conv_oracle_equivalence():
 
 
 def test_criterion_4_batch_coupling_witnesses():
-    x = sample_gaussian(RngStream(5000), (3, 2, 5, 5))
+    x = RngStream(5000).normal((3, 2, 5, 5))
     tampered = x.copy()
     tampered[1] *= 3.0
     tampered[2] += 1.0

@@ -190,11 +190,13 @@ class TestBackward:
             g.backward(np.zeros((1, 3, 16, 16)), None)
 
     def test_eval_forward_keeps_no_caches(self):
-        g = build(GeneratorConfig(), RngStream(20))
         x = content_like(7)
-        y, caches = g.forward(x, noise_for(g, x), mode="eval")
-        with pytest.raises(MissingForward):
-            g.backward(np.zeros_like(y), caches)
+        for norm_mode in ("none", "batch", "instance"):
+            g = build(GeneratorConfig(norm_mode=norm_mode), RngStream(20))
+            g.forward(x, noise_for(g, x))  # calibrates batch norm's running stats
+            y, caches = g.forward(x, noise_for(g, x), mode="eval")
+            with pytest.raises(MissingForward):
+                g.backward(np.zeros_like(y), caches)
 
     def test_residual_block_backward_after_eval_forward_rejected(self):
         # an eval walk returns no caches; the block must not read that as

@@ -70,10 +70,15 @@ class TestPpmReader:
             read_ppm(path)
 
     def test_non_numeric_token(self, tmp_path):
+        # netpbm headers are ASCII decimal; int() would take a sign or underscores
         path = str(tmp_path / "img.ppm")
-        Path(path).write_bytes(b"P6\nxx 2\n255\n" + b"\x00" * 12)
-        with pytest.raises(FormatError):
-            read_ppm(path)
+        for header, offset in [(b"P6\nxx 2\n255\n", 3), (b"P6\n+2 2\n255\n", 3),
+                               (b"P6\n2 1_0\n255\n", 5), (b"P6\n2 2\n+255\n", 7),
+                               (b"P6\n2 2\n2_55\n", 7)]:
+            Path(path).write_bytes(header + b"\x00" * 60)
+            with pytest.raises(FormatError, match="non-numeric") as info:
+                read_ppm(path)
+            assert info.value.offset == offset, header
 
 
 class TestTensorConversion:

@@ -24,12 +24,11 @@ from normkit.layers import (
     ConvParams,
     conv2d_backward,
     conv2d_forward,
-    relu_backward,
-    relu_forward,
     upsample_conv_backward,
     upsample_conv_forward,
 )
-from normkit.tensor import RngStream, new_tensor, sample_gaussian
+from normkit.generator import ReluUnit
+from normkit.tensor import RngStream
 
 
 def make_conv(rng, c_out, c_in, k, bias=True, stride=1, padding_mode="zero", pad=0):
@@ -40,13 +39,13 @@ def make_conv(rng, c_out, c_in, k, bias=True, stride=1, padding_mode="zero", pad
 
 class TestConvForward:
     def test_identity_1x1_kernel(self):
-        x = sample_gaussian(RngStream(1), (1, 1, 4, 4))
+        x = RngStream(1).normal((1, 1, 4, 4))
         p = ConvParams(np.ones((1, 1, 1, 1)), None)
         y, _ = conv2d_forward(x, p)
         assert np.array_equal(y, x)
 
     def test_reflect_averaging_preserves_constants(self):
-        x = new_tensor((1, 1, 5, 5), 5.0)
+        x = np.full((1, 1, 5, 5), 5.0)
         p = ConvParams(np.full((1, 1, 3, 3), 1.0 / 9.0), None, padding_mode="reflect", pad=1)
         y, _ = conv2d_forward(x, p)
         assert np.allclose(y, 5.0, atol=1e-12)
@@ -54,7 +53,7 @@ class TestConvForward:
 
     def test_matches_naive_oracle_seeded(self):
         rng = RngStream(7)
-        x = sample_gaussian(rng, (1, 2, 5, 5))
+        x = rng.normal((1, 2, 5, 5))
         p = make_conv(rng, 3, 2, 3, bias=True, pad=1)
         y, _ = conv2d_forward(x, p)
         ref = naive_conv2d(x, p.weights, p.bias, p.stride, p.pad, p.padding_mode)
@@ -67,27 +66,27 @@ class TestConvForward:
         if pad > 0 and k == 1 and mode == "reflect":
             pass  # still a valid case, keep it
         rng = RngStream(100 * stride + 10 * pad + k + (1 if mode == "reflect" else 0))
-        x = sample_gaussian(rng, (2, 3, 6, 5))
+        x = rng.normal((2, 3, 6, 5))
         p = make_conv(rng, 2, 3, k, bias=True, stride=stride, padding_mode=mode, pad=pad)
         y, _ = conv2d_forward(x, p)
         ref = naive_conv2d(x, p.weights, p.bias, p.stride, p.pad, p.padding_mode)
         assert np.max(np.abs(y - ref)) <= 1e-12
 
     def test_same_padding_preserves_dims_both_modes(self):
-        x = sample_gaussian(RngStream(3), (1, 2, 6, 7))
+        x = RngStream(3).normal((1, 2, 6, 7))
         for mode in ("zero", "reflect"):
             p = make_conv(RngStream(4), 2, 2, 3, padding_mode=mode, pad=1)
             y, _ = conv2d_forward(x, p)
             assert y.shape == (1, 2, 6, 7)
 
     def test_channel_mismatch(self):
-        x = sample_gaussian(RngStream(1), (1, 2, 4, 4))
+        x = RngStream(1).normal((1, 2, 4, 4))
         p = make_conv(RngStream(2), 2, 3, 3)
         with pytest.raises(ShapeMismatch):
             conv2d_forward(x, p)
 
     def test_reflect_pad_bound(self):
-        x = sample_gaussian(RngStream(1), (1, 1, 3, 3))
+        x = RngStream(1).normal((1, 1, 3, 3))
         p = make_conv(RngStream(2), 1, 1, 3, padding_mode="reflect", pad=3)
         with pytest.raises(InvalidPadding):
             conv2d_forward(x, p)
@@ -95,8 +94,8 @@ class TestConvForward:
     def test_border_artifact_pair(self):
         # constant image, kernel with nonzero sum: reflect keeps the constant
         # everywhere, zero padding breaks it exactly at the borders
-        x = new_tensor((1, 1, 6, 6), 2.0)
-        w = sample_gaussian(RngStream(9), (1, 1, 3, 3)).reshape(1, 1, 3, 3)
+        x = np.full((1, 1, 6, 6), 2.0)
+        w = RngStream(9).normal((1, 1, 3, 3)).reshape(1, 1, 3, 3)
         expect = 2.0 * w.sum()
         y_r, _ = conv2d_forward(x, ConvParams(w, None, padding_mode="reflect", pad=1))
         assert np.allclose(y_r, expect, atol=1e-12)
@@ -107,7 +106,7 @@ class TestConvForward:
     def test_forward_holds_one_patch_band(self):
         # every band is copied into one buffer, so above its padded input and
         # output a forward holds one band of patches, not two
-        x = sample_gaussian(RngStream(15), (4, 8, 64, 64))
+        x = RngStream(15).normal((4, 8, 64, 64))
         p = make_conv(RngStream(16), 3, 8, 3, bias=True, padding_mode="reflect", pad=1)
         row_bytes = 8 * 8 * 9 * 64  # C_in * K * K * OH float64 per instance
         band_bytes = 4 * (layers.PATCH_BAND_BYTES // row_bytes) * row_bytes
@@ -122,28 +121,28 @@ class TestConvBackward:
         # columns in one buffer, so above its inputs, grad_x and the padded
         # gradient it holds one band, not whole-image gradient columns. At
         # 64x64 the band budget splits this conv into 3 bands of 28 rows
-        x = sample_gaussian(RngStream(15), (4, 8, 64, 64))
+        x = RngStream(15).normal((4, 8, 64, 64))
         p = make_conv(RngStream(16), 3, 8, 3, bias=True, padding_mode="reflect", pad=1)
         row_bytes = 8 * 8 * 9 * 64  # C_in * K * K * OH float64 per instance
         band_bytes = 4 * (layers.PATCH_BAND_BYTES // row_bytes) * row_bytes
         y, cache = conv2d_forward(x, p)
-        g = sample_gaussian(RngStream(17), y.shape)
+        g = RngStream(17).normal(y.shape)
         peak = traced_peak(conv2d_backward, g, cache, p)
         assert peak - x.nbytes - cache.xp.nbytes <= 1.5 * band_bytes
 
     def test_zero_grad_out(self):
         rng = RngStream(11)
-        x = sample_gaussian(rng, (1, 2, 4, 4))
+        x = rng.normal((1, 2, 4, 4))
         p = make_conv(rng, 2, 2, 3, pad=1)
         y, cache = conv2d_forward(x, p)
         gx, gw, gb = conv2d_backward(np.zeros_like(y), cache, p)
         assert not gx.any() and not gw.any() and not gb.any()
 
     def test_identity_kernel_adjoint(self):
-        x = sample_gaussian(RngStream(12), (1, 1, 4, 4))
+        x = RngStream(12).normal((1, 1, 4, 4))
         p = ConvParams(np.ones((1, 1, 1, 1)), None)
         y, cache = conv2d_forward(x, p)
-        g = sample_gaussian(RngStream(13), y.shape)
+        g = RngStream(13).normal(y.shape)
         gx, _, _ = conv2d_backward(g, cache, p)
         assert np.array_equal(gx, g)
 
@@ -154,7 +153,7 @@ class TestConvBackward:
 
     def test_grad_out_shape_check(self):
         rng = RngStream(14)
-        x = sample_gaussian(rng, (1, 1, 4, 4))
+        x = rng.normal((1, 1, 4, 4))
         p = make_conv(rng, 1, 1, 3)
         _, cache = conv2d_forward(x, p)
         with pytest.raises(ShapeMismatch):
@@ -163,7 +162,7 @@ class TestConvBackward:
     @pytest.mark.parametrize("mode,pad,stride", [("zero", 1, 1), ("reflect", 1, 1), ("zero", 0, 1), ("zero", 1, 2), ("reflect", 1, 2)])
     def test_gradients_match_finite_differences(self, mode, pad, stride):
         rng = RngStream(21)
-        x = sample_gaussian(rng, (1, 2, 4, 4))
+        x = rng.normal((1, 2, 4, 4))
         p = make_conv(rng, 2, 2, 3, bias=True, stride=stride, padding_mode=mode, pad=pad)
 
         def loss():
@@ -180,10 +179,10 @@ class TestConvBackward:
     def test_adjoint_identity(self, mode):
         # <L(x), u> == <x, L^T(u)> for the linear (bias-free) map
         rng = RngStream(31)
-        x = sample_gaussian(rng, (2, 2, 5, 5))
+        x = rng.normal((2, 2, 5, 5))
         p = make_conv(rng, 3, 2, 3, bias=False, padding_mode=mode, pad=1)
         y, cache = conv2d_forward(x, p)
-        u = sample_gaussian(rng, y.shape)
+        u = rng.normal(y.shape)
         gx, _, _ = conv2d_backward(u, cache, p)
         assert abs(float((y * u).sum()) - float((x * gx).sum())) < 1e-10
 
@@ -195,10 +194,10 @@ class TestConvBackward:
         # instance's rows differently from its lone GEMM at 8x8 (not at
         # 32x32), so 8x8 fails if the conv stops issuing per-instance GEMMs
         rng = RngStream(41)
-        x = sample_gaussian(rng, (4, 16, size, size))
+        x = rng.normal((4, 16, size, size))
         p = make_conv(rng, 16, 16, 3, bias=True, padding_mode=mode, pad=1)
         y, cache = conv2d_forward(x, p)
-        g = sample_gaussian(rng, y.shape)
+        g = rng.normal(y.shape)
         gx, _, _ = conv2d_backward(g, cache, p)
         for t in range(4):
             y_t, cache_t = conv2d_forward(x[t : t + 1].copy(), p)
@@ -218,7 +217,7 @@ def conv_cases(draw):
     k = draw(st.sampled_from([k for k in (1, 3, 5) if k <= min(w, h) + 2 * pad]))
     t, c_in, c_out = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
     rng = RngStream(draw(st.integers(0, 2**16)))
-    x = sample_gaussian(rng, (t, c_in, w, h))
+    x = rng.normal((t, c_in, w, h))
     p = make_conv(rng, c_out, c_in, k, bias=True, stride=draw(st.integers(1, 2)),
                   padding_mode=mode, pad=pad)
     return x, p
@@ -232,7 +231,7 @@ def check_conv_oracle_and_adjoint(x, p):
     linear = ConvParams(p.weights, None, stride=p.stride, padding_mode=p.padding_mode,
                         pad=p.pad)
     y, cache = conv2d_forward(x, linear)
-    u = sample_gaussian(RngStream(5), y.shape)
+    u = RngStream(5).normal(y.shape)
     gx, gw, _ = conv2d_backward(u, cache, linear)
     yu = float((y * u).sum())
     assert abs(yu - float((x * gx).sum())) < 1e-10
@@ -255,7 +254,7 @@ def upsample_conv_cases(draw):
     t, c_in, c_out = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
     w, h = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     rng = RngStream(draw(st.integers(0, 2**16)))
-    x = sample_gaussian(rng, (t, c_in, w, h))
+    x = rng.normal((t, c_in, w, h))
     p = make_conv(rng, c_out, c_in, 3, bias=draw(st.booleans()),
                   padding_mode=draw(st.sampled_from(["zero", "reflect"])), pad=1)
     return x, p
@@ -266,7 +265,7 @@ def check_upsample_conv_matches_upsample_then_conv(x, p):
     ref, ref_cache = conv2d_forward(upsample_nearest(x, 2), p)
     assert y.shape == ref.shape
     assert np.max(np.abs(y - ref)) <= 1e-12
-    g = sample_gaussian(RngStream(5), y.shape)
+    g = RngStream(5).normal(y.shape)
     gx, gw, gb = upsample_conv_backward(g, cache, p)
     gu, ref_gw, ref_gb = conv2d_backward(g, ref_cache, p)
     assert rel_err(gx, upsample_nearest_adjoint(gu, 2)) <= 1e-12
@@ -289,10 +288,10 @@ class TestUpsampleConv:
         # instances rounds a row differently from its lone GEMM at 6x6
         # (not at 4x4 or 16x16), so 6x6 fails if per-instance GEMMs go
         rng = RngStream(43)
-        x = sample_gaussian(rng, (4, 16, size, size))
+        x = rng.normal((4, 16, size, size))
         p = make_conv(rng, 16, 16, 3, bias=True, padding_mode=mode, pad=1)
         y, cache = upsample_conv_forward(x, p)
-        g = sample_gaussian(rng, y.shape)
+        g = rng.normal(y.shape)
         gx, _, _ = upsample_conv_backward(g, cache, p)
         for t in range(4):
             y_t, cache_t = upsample_conv_forward(x[t : t + 1].copy(), p)
@@ -304,12 +303,12 @@ class TestUpsampleConv:
     def test_other_geometry_rejected(self, k, stride, pad):
         p = make_conv(RngStream(44), 2, 2, k, stride=stride, pad=pad)
         with pytest.raises(InvalidArgument):
-            upsample_conv_forward(new_tensor((1, 2, 3, 3), 1.0), p)
+            upsample_conv_forward(np.full((1, 2, 3, 3), 1.0), p)
 
     def test_channel_mismatch(self):
         p = make_conv(RngStream(45), 2, 3, 3, pad=1)
         with pytest.raises(ShapeMismatch):
-            upsample_conv_forward(new_tensor((1, 2, 3, 3), 1.0), p)
+            upsample_conv_forward(np.full((1, 2, 3, 3), 1.0), p)
 
     def test_missing_cache(self):
         p = make_conv(RngStream(46), 2, 2, 3, pad=1)
@@ -354,7 +353,7 @@ class TestTrainCache:
     @pytest.mark.parametrize("forward,k,stride,pad", TRAIN_CACHE_CASES)
     def test_no_cached_array_larger_than_padded_input(self, forward, k, stride, pad):
         rng = RngStream(60)
-        x = sample_gaussian(rng, (2, 3, 9, 7))
+        x = rng.normal((2, 3, 9, 7))
         p = make_conv(rng, 4, 3, k, stride=stride, padding_mode="reflect", pad=pad)
         _, cache = forward(x, p)
         padded_bytes = 2 * 3 * (9 + 2 * pad) * (7 + 2 * pad) * 8
@@ -363,7 +362,7 @@ class TestTrainCache:
     @pytest.mark.parametrize("forward,k,stride,pad", TRAIN_CACHE_CASES)
     def test_backward_ignores_later_writes_to_the_input(self, forward, k, stride, pad):
         rng = RngStream(61)
-        x = sample_gaussian(rng, (2, 3, 9, 7))
+        x = rng.normal((2, 3, 9, 7))
         p = make_conv(rng, 4, 3, k, stride=stride, padding_mode="reflect", pad=pad)
         y, cache = forward(x.copy(), p)
         g = rng.normal(y.shape)
@@ -415,7 +414,7 @@ class TestBandedPath:
                                                 row_bytes):
         backward = BACKWARD[forward]
         rng = RngStream(47)
-        x = sample_gaussian(rng, (2, 3, side, 13))
+        x = rng.normal((2, 3, side, 13))
         p = make_conv(rng, 4, 3, k, stride=stride, padding_mode="reflect", pad=pad)
         y_one, cache_one = forward(x, p)
         g = rng.normal(y_one.shape)
@@ -449,7 +448,7 @@ class TestBandedPath:
         # band GEMM's operand layout unchanged
         monkeypatch.setattr(layers, "PATCH_BAND_BYTES", 3 * row_bytes)
         rng = RngStream(50)
-        x = sample_gaussian(rng, (4, 3, 11, 13))
+        x = rng.normal((4, 3, 11, 13))
         p = make_conv(rng, 4, 3, 3, padding_mode="reflect", pad=1)
         layouts = set()
         for t_count in (1, 4):
@@ -464,8 +463,8 @@ class TestBandedPath:
         # both layers return a ConvCache; each backward takes only its own
         rng = RngStream(51)
         p = make_conv(rng, 2, 2, 3, pad=1)
-        y_conv, cache_conv = conv2d_forward(sample_gaussian(rng, (1, 2, 4, 4)), p)
-        y_up, cache_up = upsample_conv_forward(sample_gaussian(rng, (1, 2, 2, 2)), p)
+        y_conv, cache_conv = conv2d_forward(rng.normal((1, 2, 4, 4)), p)
+        y_up, cache_up = upsample_conv_forward(rng.normal((1, 2, 2, 2)), p)
         assert y_conv.shape == y_up.shape
         with pytest.raises(MissingForward):
             conv2d_backward(np.zeros_like(y_up), cache_up, p)
@@ -474,44 +473,47 @@ class TestBandedPath:
 
 
 class TestRelu:
+    relu = ReluUnit("relu")
+
     def test_definition(self):
         x = np.array([-1.0, 0.0, 2.0]).reshape(1, 1, 1, 3)
-        y, _ = relu_forward(x)
+        y, _ = self.relu.forward(x, "train")
         assert np.array_equal(y.ravel(), [0.0, 0.0, 2.0])
 
     def test_identity_on_nonnegative(self):
-        x = np.abs(sample_gaussian(RngStream(5), (1, 2, 3, 3)))
-        y, _ = relu_forward(x)
+        x = np.abs(RngStream(5).normal((1, 2, 3, 3)))
+        y, _ = self.relu.forward(x, "train")
         assert np.array_equal(y, x)
 
     def test_gradient_matches_fd_away_from_kink(self):
-        x = sample_gaussian(RngStream(6), (1, 2, 4, 4))
+        x = RngStream(6).normal((1, 2, 4, 4))
         x[np.abs(x) < 1e-3] = 0.5  # keep clear of the nondifferentiable point
 
         def loss():
-            y, _ = relu_forward(x)
+            y, _ = self.relu.forward(x, "train")
             return 0.5 * float((y * y).sum())
 
-        y, cache = relu_forward(x)
-        gx = relu_backward(y, cache)
+        y, cache = self.relu.forward(x, "train")
+        gx, grads = self.relu.backward(y, cache)
+        assert grads == {}
         assert max_rel_err(gx, fd_grad(loss, x)) < 1e-6
 
     def test_zero_subgradient_at_zero(self):
         x = np.zeros((1, 1, 2, 2))
-        y, cache = relu_forward(x)
-        gx = relu_backward(np.ones_like(y), cache)
+        y, cache = self.relu.forward(x, "train")
+        gx, _ = self.relu.backward(np.ones_like(y), cache)
         assert not gx.any()
 
     def test_missing_cache(self):
         with pytest.raises(MissingForward):
-            relu_backward(np.zeros((1, 1, 2, 2)), None)
+            self.relu.backward(np.zeros((1, 1, 2, 2)), None)
 
 
 class TestUpsample:
     """The nearest upsample in helpers.py, the fused layer's oracle."""
 
     def test_factor_one_identity(self):
-        x = sample_gaussian(RngStream(8), (1, 2, 3, 3))
+        x = RngStream(8).normal((1, 2, 3, 3))
         assert np.array_equal(upsample_nearest(x, 1), x)
         assert np.array_equal(upsample_nearest_adjoint(x, 1), x)
 
@@ -532,27 +534,27 @@ class TestUpsample:
         assert np.all(back == 4.0)
 
     def test_forward_then_backward_counts(self):
-        x = new_tensor((2, 3, 4, 4), 1.0)
+        x = np.full((2, 3, 4, 4), 1.0)
         for f in (2, 3):
             y = upsample_nearest(x, f)
             assert np.all(upsample_nearest_adjoint(y, f) == f * f)
 
     @pytest.mark.parametrize("factor", [2, 3])
     def test_backward_matches_block_sum(self, factor):
-        g = sample_gaussian(RngStream(10), (2, 3, 4 * factor, 2 * factor))
+        g = RngStream(10).normal((2, 3, 4 * factor, 2 * factor))
         blocks = g.reshape(2, 3, 4, factor, 2, factor).sum(axis=(3, 5))
         assert np.max(np.abs(upsample_nearest_adjoint(g, factor) - blocks)) < 1e-12
 
     def test_adjoint_identity(self):
         rng = RngStream(9)
-        x = sample_gaussian(rng, (1, 2, 3, 4))
+        x = rng.normal((1, 2, 3, 4))
         y = upsample_nearest(x, 2)
-        u = sample_gaussian(rng, y.shape)
+        u = rng.normal(y.shape)
         assert abs(float((y * u).sum()) - float((x * upsample_nearest_adjoint(u, 2)).sum())) < 1e-10
 
     def test_adjoint_matches_finite_differences(self):
-        x = sample_gaussian(RngStream(9), (1, 2, 3, 3))
-        probe = sample_gaussian(RngStream(11), (1, 2, 6, 6))
+        x = RngStream(9).normal((1, 2, 3, 3))
+        probe = RngStream(11).normal((1, 2, 6, 6))
 
         def f():
             return float((upsample_nearest(x, 2) * probe).sum())

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from normkit.errors import InvalidShape, MissingForward, ShapeMismatch
 from normkit.loss import FeatureExtractor, StyleTarget, gram, gram_backward, total_loss
-from normkit.tensor import RngStream, new_tensor, sample_gaussian
+from normkit.tensor import RngStream
 
 
 @pytest.fixture(scope="module")
@@ -34,12 +34,12 @@ class TestExtractor:
             assert np.array_equal(f1[tap], f2[tap])
 
     def test_zero_input_zero_features(self, phi):
-        feats, _ = phi.forward(new_tensor((1, 3, 16, 16), 0.0))
+        feats, _ = phi.forward(np.full((1, 3, 16, 16), 0.0))
         for tap in phi.taps:
             assert not feats[tap].any()
 
     def test_default_tap_shapes(self, phi):
-        x = sample_gaussian(RngStream(2), (1, 3, 32, 32))
+        x = RngStream(2).normal((1, 3, 32, 32))
         feats, _ = phi.forward(x)
         assert feats[1].shape == (1, 8, 16, 16)
         assert feats[2].shape == (1, 16, 8, 8)
@@ -47,11 +47,11 @@ class TestExtractor:
 
     def test_too_small_input_rejected(self, phi):
         with pytest.raises(InvalidShape):
-            phi.forward(new_tensor((1, 3, 4, 4), 0.5))
+            phi.forward(np.full((1, 3, 4, 4), 0.5))
 
     def test_wrong_channel_count_rejected(self, phi):
         with pytest.raises(InvalidShape):
-            phi.forward(new_tensor((1, 1, 16, 16), 0.5))
+            phi.forward(np.full((1, 1, 16, 16), 0.5))
 
     def test_entries_round_trip(self, phi, tmp_path):
         path = str(tmp_path / "phi.nrmk")
@@ -82,11 +82,11 @@ class TestExtractor:
 
 class TestGram:
     def test_all_ones(self):
-        g = gram(new_tensor((1, 2, 2, 2), 1.0))
+        g = gram(np.full((1, 2, 2, 2), 1.0))
         assert np.array_equal(g, np.ones((1, 2, 2)))
 
     def test_all_zeros(self):
-        assert not gram(new_tensor((1, 3, 2, 2), 0.0)).any()
+        assert not gram(np.full((1, 3, 2, 2), 0.0)).any()
 
     @given(st.integers(2, 4), st.integers(1, 16), st.integers(1, 32), st.integers(1, 32),
            st.integers(0, 2**32 - 1))
@@ -122,7 +122,7 @@ class TestGram:
         assert (np.abs(gram(f) - gram_all_pairs(f)) <= 1e-13 * scale).all()
 
     def test_symmetric_bitwise(self):
-        g = gram(sample_gaussian(RngStream(6), (1, 5, 3, 3)))
+        g = gram(RngStream(6).normal((1, 5, 3, 3)))
         assert np.array_equal(g, g.transpose(0, 2, 1))
 
     def test_psd_up_to_rounding(self, phi):

@@ -13,12 +13,12 @@ from normkit.norms import (
     instance_norm_forward,
     norm_backward,
 )
-from normkit.tensor import RngStream, new_tensor, sample_gaussian
+from normkit.tensor import RngStream
 
 
 class TestContrastNorm:
     def test_uniform_plane(self):
-        y = contrast_norm(new_tensor((1, 1, 2, 2), 1.0))
+        y = contrast_norm(np.full((1, 1, 2, 2), 1.0))
         assert np.array_equal(y, np.full((1, 1, 2, 2), 0.25))
 
     def test_hand_values(self):
@@ -27,7 +27,7 @@ class TestContrastNorm:
         assert np.array_equal(y.ravel(), [0.25, 0.75])
 
     def test_zero_sum_plane_rejected(self):
-        x = new_tensor((1, 2, 2, 2), 1.0)
+        x = np.full((1, 2, 2, 2), 1.0)
         x[0, 1] = 0.0
         with pytest.raises(DegenerateInput, match=r"t=0, i=1"):
             contrast_norm(x)
@@ -44,21 +44,21 @@ class TestInstanceNormForward:
 
     def test_constant_input_gives_zeros(self):
         for eps in (1e-5, 1e-2, 1.0):
-            y, _ = instance_norm_forward(new_tensor((2, 3, 4, 4), 9.0), eps=eps)
+            y, _ = instance_norm_forward(np.full((2, 3, 4, 4), 9.0), eps=eps)
             assert not y.any()
 
     def test_scale_invariance_up_to_eps(self):
-        x = sample_gaussian(RngStream(50), (2, 3, 8, 8))  # per-plane var ~ 1 >= 1e-2
+        x = RngStream(50).normal((2, 3, 8, 8))  # per-plane var ~ 1 >= 1e-2
         y, _ = instance_norm_forward(x, eps=1e-5)
         y_big, _ = instance_norm_forward(x * 1000.0, eps=1e-5)
         assert np.max(np.abs(y_big - y)) < 1e-3
 
     def test_negative_eps_rejected(self):
         with pytest.raises(InvalidArgument):
-            instance_norm_forward(new_tensor((1, 1, 2, 2), 1.0), eps=-1e-5)
+            instance_norm_forward(np.full((1, 1, 2, 2), 1.0), eps=-1e-5)
 
     def test_post_norm_statistics(self):
-        x = sample_gaussian(RngStream(51), (3, 4, 6, 6))
+        x = RngStream(51).normal((3, 4, 6, 6))
         y, cache = instance_norm_forward(x, eps=1e-5)
         means = y.mean(axis=(2, 3))
         assert np.max(np.abs(means)) < 1e-9
@@ -69,7 +69,7 @@ class TestInstanceNormForward:
         assert np.all(variances <= 1.0 + 1e-12)
 
     def test_shift_scale_invariance(self):
-        x = 2.0 * sample_gaussian(RngStream(52), (2, 2, 8, 8))
+        x = 2.0 * RngStream(52).normal((2, 2, 8, 8))
         y, _ = instance_norm_forward(x, eps=1e-5)
         for a in (0.1, 0.5, 2.0, 10.0):
             for b in (-1.0, 1.0):
@@ -79,7 +79,7 @@ class TestInstanceNormForward:
 
 class TestBatchNormForward:
     def test_constant_input_train(self):
-        y, _ = batch_norm_forward(new_tensor((2, 2, 3, 3), 4.0), mode="train")
+        y, _ = batch_norm_forward(np.full((2, 2, 3, 3), 4.0), mode="train")
         assert not y.any()
 
     def test_two_plane_hand_values(self):
@@ -93,7 +93,7 @@ class TestBatchNormForward:
 
     def test_t1_coincides_with_instance_norm(self):
         for seed in range(10):
-            x = sample_gaussian(RngStream(seed), (1, 3, 5, 4))
+            x = RngStream(seed).normal((1, 3, 5, 4))
             yb, _ = batch_norm_forward(x, eps=1e-5, mode="train")
             yi, _ = instance_norm_forward(x, eps=1e-5)
             assert np.max(np.abs(yb - yi)) <= 1e-12
@@ -105,8 +105,8 @@ class TestBatchNormForward:
         # at T=1 the (T, W, H) groups are the (W, H) groups, reduced in the
         # same member order, so the two norms are one map in both directions
         rng = RngStream(seed)
-        x = sample_gaussian(rng, shape)
-        g = sample_gaussian(rng, shape)
+        x = rng.normal(shape)
+        g = rng.normal(shape)
         yb, cache_b = batch_norm_forward(x, eps=1e-5, mode="train")
         yi, cache_i = instance_norm_forward(x, eps=1e-5)
         assert yb.tobytes() == yi.tobytes()
@@ -114,7 +114,7 @@ class TestBatchNormForward:
 
     def test_running_stats_update_rule(self):
         rs = RunningStats(channels=2)
-        x = sample_gaussian(RngStream(60), (2, 2, 4, 4))
+        x = RngStream(60).normal((2, 2, 4, 4))
         _, cache = batch_norm_forward(x, mode="train", rs=rs)
         expect_mu = 0.9 * np.zeros((1, 2, 1, 1)) + 0.1 * cache.mu
         expect_var = 0.9 * np.ones((1, 2, 1, 1)) + 0.1 * cache.var
@@ -124,10 +124,10 @@ class TestBatchNormForward:
 
     def test_eval_uses_running_stats_without_update(self):
         rs = RunningStats(channels=1)
-        train_x = sample_gaussian(RngStream(61), (4, 1, 4, 4))
+        train_x = RngStream(61).normal((4, 1, 4, 4))
         batch_norm_forward(train_x, mode="train", rs=rs)
         saved_mu = rs.running_mu.copy()
-        x = sample_gaussian(RngStream(62), (2, 1, 4, 4))
+        x = RngStream(62).normal((2, 1, 4, 4))
         y, _ = batch_norm_forward(x, mode="eval", rs=rs)
         expect = (x - rs.running_mu) / np.sqrt(rs.running_var + 1e-5)
         assert np.array_equal(y, expect)
@@ -136,18 +136,18 @@ class TestBatchNormForward:
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(InvalidArgument):
-            batch_norm_forward(new_tensor((1, 1, 2, 2), 1.0), mode="test")
+            batch_norm_forward(np.full((1, 1, 2, 2), 1.0), mode="test")
 
     def test_eval_before_training_rejected(self):
         with pytest.raises(NotCalibrated):
-            batch_norm_forward(new_tensor((1, 1, 2, 2), 1.0), mode="eval", rs=RunningStats(channels=1))
+            batch_norm_forward(np.full((1, 1, 2, 2), 1.0), mode="eval", rs=RunningStats(channels=1))
         with pytest.raises(NotCalibrated):
-            batch_norm_forward(new_tensor((1, 1, 2, 2), 1.0), mode="eval", rs=None)
+            batch_norm_forward(np.full((1, 1, 2, 2), 1.0), mode="eval", rs=None)
 
 
 class TestBatchCoupling:
     def test_instance_norm_per_instance_independence(self):
-        x = sample_gaussian(RngStream(70), (3, 2, 4, 4))
+        x = RngStream(70).normal((3, 2, 4, 4))
         y_full, _ = instance_norm_forward(x)
         perturbed = x.copy()
         perturbed[1] += 5.0
@@ -158,7 +158,7 @@ class TestBatchCoupling:
         assert np.array_equal(y_full[0], y_alone[0])
 
     def test_batch_norm_couples_instances(self):
-        x = sample_gaussian(RngStream(71), (3, 2, 4, 4))
+        x = RngStream(71).normal((3, 2, 4, 4))
         y_full, _ = batch_norm_forward(x, mode="train")
         perturbed = x.copy()
         perturbed[1] += 5.0
@@ -166,7 +166,7 @@ class TestBatchCoupling:
         assert not np.array_equal(y_full[0], y_pert[0])
 
     def test_instance_norm_permutation_equivariance(self):
-        x = sample_gaussian(RngStream(72), (4, 2, 3, 3))
+        x = RngStream(72).normal((4, 2, 3, 3))
         perm = [2, 0, 3, 1]
         y, _ = instance_norm_forward(x)
         y_perm, _ = instance_norm_forward(x[perm].copy())
@@ -175,7 +175,7 @@ class TestBatchCoupling:
     def test_batch_norm_permutation_invariance(self):
         # identical up to summation-order rounding: the batch statistics
         # accumulate in a different order once instances are permuted
-        x = sample_gaussian(RngStream(73), (4, 2, 3, 3))
+        x = RngStream(73).normal((4, 2, 3, 3))
         perm = [2, 0, 3, 1]
         y, _ = batch_norm_forward(x, mode="train")
         y_perm, _ = batch_norm_forward(x[perm].copy(), mode="train")
@@ -184,14 +184,14 @@ class TestBatchCoupling:
 
 class TestNormBackward:
     def test_zero_grad(self):
-        x = sample_gaussian(RngStream(80), (2, 2, 3, 3))
+        x = RngStream(80).normal((2, 2, 3, 3))
         y, cache = instance_norm_forward(x)
         assert not norm_backward(np.zeros_like(y), cache).any()
 
     def test_instance_grad_planes_sum_to_zero(self):
-        x = sample_gaussian(RngStream(81), (2, 3, 4, 4))
+        x = RngStream(81).normal((2, 3, 4, 4))
         y, cache = instance_norm_forward(x)
-        g = sample_gaussian(RngStream(82), y.shape)
+        g = RngStream(82).normal(y.shape)
         gx = norm_backward(g, cache)
         assert np.max(np.abs(gx.sum(axis=(2, 3)))) < 1e-10
 
@@ -199,8 +199,8 @@ class TestNormBackward:
     def test_matches_finite_differences(self, which):
         # probe with a random linear functional: a pure quadratic loss is
         # degenerate here (normalized outputs have a nearly fixed norm)
-        x = sample_gaussian(RngStream(83), (2, 2, 3, 3))
-        probe = sample_gaussian(RngStream(84), (2, 2, 3, 3))
+        x = RngStream(83).normal((2, 2, 3, 3))
+        probe = RngStream(84).normal((2, 2, 3, 3))
 
         def forward():
             if which == "batch":
@@ -239,18 +239,21 @@ class TestNormBackward:
             # can have a gradient near 0 whose differences are all rounding
             assert np.abs(analytic - numeric).max() <= 1e-6 * np.abs(numeric).max() + 1e-9
 
-    def test_eval_backward_treats_stats_as_constants(self):
+    def test_eval_forward_keeps_no_cache(self):
         rs = RunningStats(channels=2)
-        batch_norm_forward(sample_gaussian(RngStream(84), (4, 2, 4, 4)), mode="train", rs=rs)
-        x = sample_gaussian(RngStream(85), (1, 2, 3, 3))
+        batch_norm_forward(RngStream(84).normal((4, 2, 4, 4)), mode="train", rs=rs)
+        y, cache = batch_norm_forward(RngStream(85).normal((1, 2, 3, 3)), mode="eval", rs=rs)
+        assert cache is None
+        with pytest.raises(MissingForward):
+            norm_backward(y, cache)
 
-        def loss():
-            y, _ = batch_norm_forward(x, mode="eval", rs=rs)
-            return 0.5 * float((y * y).sum())
-
-        y, cache = batch_norm_forward(x, mode="eval", rs=rs)
-        gx = norm_backward(y, cache)
-        assert max_rel_err(gx, fd_grad(loss, x)) < 1e-9
+    def test_affine_unit_backward_after_eval_forward_raises(self):
+        # the affine gradients read the cache too; norm_backward must reject it first
+        unit = NormUnit("n", "batch", 2, 1e-5, affine=True)
+        unit.forward(RngStream(86).normal((4, 2, 4, 4)), "train")
+        y, cache = unit.forward(RngStream(87).normal((1, 2, 3, 3)), "eval")
+        with pytest.raises(MissingForward):
+            unit.backward(y, cache)
 
     def test_missing_cache(self):
         with pytest.raises(MissingForward):

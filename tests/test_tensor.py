@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from normkit.errors import InvalidArgument, InvalidShape
-from normkit.tensor import RngStream, new_tensor, reduce, sample_gaussian
+from normkit.tensor import RngStream, reduce, require_tensor4
 
 
 def group_sum_oracle(x, axes):
@@ -19,28 +19,16 @@ def group_sum_oracle(x, axes):
     return out
 
 
-class TestNewTensor:
-    def test_fill_zeros(self):
-        t = new_tensor((1, 1, 2, 2), 0.0)
-        assert t.shape == (1, 1, 2, 2)
-        assert np.all(t == 0.0)
-
-    def test_fill_ones_sum(self):
-        t = new_tensor((2, 3, 4, 4), 1.0)
-        assert t.size == 96
-        assert t.sum() == 96.0
-
-    def test_zero_dim_rejected(self):
-        with pytest.raises(InvalidShape):
-            new_tensor((1, 0, 2, 2), 0.0)
-
-    def test_negative_dim_rejected(self):
-        with pytest.raises(InvalidShape):
-            new_tensor((1, -3, 2, 2))
-
-    def test_wrong_rank_rejected(self):
-        with pytest.raises(InvalidShape):
-            new_tensor((1, 2, 3), 0.0)
+class TestRequireTensor4:
+    @pytest.mark.parametrize("x", [
+        pytest.param(np.zeros((1, 0, 2, 2)), id="zero-dim"),
+        pytest.param(np.zeros((1, 2, 3)), id="rank-3"),
+        pytest.param(np.zeros((1, 1, 2, 2), dtype=np.float32), id="float32"),
+        pytest.param([[[[0.0]]]], id="nested-list"),
+    ])
+    def test_rejected(self, x):
+        with pytest.raises(InvalidShape, match="^x "):
+            require_tensor4(x, "x")
 
 
 class TestReduce:
@@ -49,25 +37,25 @@ class TestReduce:
         assert reduce(x, "WH", "mean").ravel()[0] == 2.5
 
     def test_sum_all_counts_elements(self):
-        t = new_tensor((2, 3, 2, 2), 1.0)
+        t = np.full((2, 3, 2, 2), 1.0)
         assert reduce(t, "TCWH", "sum").ravel()[0] == 24.0
 
     def test_mean_of_constants(self):
-        t = new_tensor((3, 2, 2, 2), 7.0)
+        t = np.full((3, 2, 2, 2), 7.0)
         out = reduce(t, "T", "mean")
         assert out.shape == (1, 2, 2, 2)
         assert np.all(out == 7.0)
 
     def test_empty_axes_rejected(self):
         with pytest.raises(InvalidArgument):
-            reduce(new_tensor((1, 1, 2, 2), 1.0), "", "sum")
+            reduce(np.full((1, 1, 2, 2), 1.0), "", "sum")
 
     @pytest.mark.parametrize("axes,x", [
-        *(pytest.param(axes, sample_gaussian(RngStream(99), (2, 3, 4, 5)), id=axes)
+        *(pytest.param(axes, RngStream(99).normal((2, 3, 4, 5)), id=axes)
           for axes in ["T", "C", "W", "H", "WH", "TWH", "CW", "TCWH"]),
         pytest.param("TWH", np.array([-0.0, 1.5, -2.0]).reshape(1, 3, 1, 1), id="one-member"),
         # 384 members per group: numpy's row sum splits rows longer than 128 in halves
-        pytest.param("WH", sample_gaussian(RngStream(98), (3, 2, 16, 24)), id="long-groups"),
+        pytest.param("WH", RngStream(98).normal((3, 2, 16, 24)), id="long-groups"),
     ])
     def test_matches_sequential_oracle_bitwise(self, axes, x):
         assert reduce(x, axes, "sum").tobytes() == group_sum_oracle(x, axes).tobytes()
@@ -79,32 +67,28 @@ class TestReduce:
 
     @pytest.mark.parametrize("axes", ["WH", "TWH", "TCWH", "C"])
     def test_mean_is_sum_over_count_exactly(self, axes):
-        x = sample_gaussian(RngStream(5), (2, 3, 4, 4))
+        x = RngStream(5).normal((2, 3, 4, 4))
         count = np.prod([d for a, d in zip("TCWH", x.shape) if a in set(axes)])
         assert np.array_equal(reduce(x, axes, "mean"), reduce(x, axes, "sum") / count)
 
     def test_axes_accept_any_iterable_of_names(self):
-        x = sample_gaussian(RngStream(6), (2, 2, 3, 3))
+        x = RngStream(6).normal((2, 2, 3, 3))
         assert np.array_equal(reduce(x, ["W", "H"], "sum"), reduce(x, "WH", "sum"))
         assert np.array_equal(reduce(x, ("H", "W"), "sum"), reduce(x, "WH", "sum"))
 
 
 class TestSampleGaussian:
     def test_determinism_bitwise(self):
-        a = sample_gaussian(RngStream(123), (2, 2, 5, 5))
-        b = sample_gaussian(RngStream(123), (2, 2, 5, 5))
+        a = RngStream(123).normal((2, 2, 5, 5))
+        b = RngStream(123).normal((2, 2, 5, 5))
         assert np.array_equal(a, b)
 
     def test_seed42_statistics(self):
-        t = sample_gaussian(RngStream(42), (1, 1, 64, 64))
+        t = RngStream(42).normal((1, 1, 64, 64))
         assert -0.1 < t.mean() < 0.1
         assert 0.85 < t.var() < 1.15
 
-    def test_zero_dim_rejected(self):
-        with pytest.raises(InvalidShape):
-            sample_gaussian(RngStream(1), (1, 0, 2, 2))
-
     def test_streams_differ(self):
-        a = sample_gaussian(RngStream(7, 1), (1, 1, 4, 4))
-        b = sample_gaussian(RngStream(7, 2), (1, 1, 4, 4))
+        a = RngStream(7, 1).normal((1, 1, 4, 4))
+        b = RngStream(7, 2).normal((1, 1, 4, 4))
         assert not np.array_equal(a, b)

@@ -12,7 +12,7 @@ from normkit.training import (
     STREAM_SHUFFLE,
     AdamState,
     TrainConfig,
-    _BatchSampler,
+    _batches,
     adam_step,
     config_echo,
     load_image_tensor,
@@ -89,17 +89,17 @@ class TestAdam:
 
 class TestBatchSampler:
     def test_round_robin_covers_dataset(self):
-        sampler = _BatchSampler(4, 2, RngStream(3, STREAM_SHUFFLE))
+        batches = _batches(4, 2, RngStream(3, STREAM_SHUFFLE))
         seen = []
         for _ in range(2):
-            seen.extend(sampler.next_batch())
+            seen.extend(next(batches))
         assert sorted(seen) == [0, 1, 2, 3]
 
     def test_deterministic(self):
-        a = _BatchSampler(5, 3, RngStream(4, STREAM_SHUFFLE))
-        b = _BatchSampler(5, 3, RngStream(4, STREAM_SHUFFLE))
+        a = _batches(5, 3, RngStream(4, STREAM_SHUFFLE))
+        b = _batches(5, 3, RngStream(4, STREAM_SHUFFLE))
         for _ in range(7):
-            assert a.next_batch() == b.next_batch()
+            assert next(a) == next(b)
 
 
 class TestTrain:
@@ -143,7 +143,7 @@ class TestTrain:
         target = StyleTarget.from_style_image(phi, style_t, alpha=config.alpha, beta=config.beta)
         images = [load_image_tensor(p) for p in config.dataset]
         g = build(config.generator_config(), RngStream(config.seed, STREAM_INIT))
-        idx = _BatchSampler(2, 2, RngStream(config.seed, STREAM_SHUFFLE)).next_batch()
+        idx = next(_batches(2, 2, RngStream(config.seed, STREAM_SHUFFLE)))
         z = RngStream(config.seed, STREAM_NOISE).normal((2, 1, 32, 32))
 
         per_instance = []
