@@ -85,9 +85,15 @@ def _train_config(args, dataset):
 
 
 def cmd_train(parser, args) -> int:
+    from .errors import InputError
     from .training import serialize_report, train
 
     config = _train_config(args, _content_paths(args.content_dir))
+    # fail before training, not after the last step
+    if os.path.isdir(args.out):
+        raise InputError(f"--out {args.out!r} is a directory")
+    if not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise InputError(f"the directory of --out {args.out!r} does not exist")
     generator, report = train(config)
     for i, value in enumerate(report.losses, 1):
         if i == 1 or i == len(report.losses) or i % config.log_every == 0:

@@ -47,7 +47,7 @@ from .norms import (
     instance_norm_forward,
     norm_backward,
 )
-from .tensor import RngStream, Tensor4, reduce, require_tensor4
+from .tensor import RngStream, Tensor4, require_tensor4
 
 NORM_MODES = ("none", "batch", "instance")
 
@@ -198,8 +198,10 @@ class NormUnit:
         gx = norm_backward(g * self.gamma if self.affine else g, cache)
         if not self.affine:
             return gx, {}
-        return gx, {f"{self.name}.gamma": reduce(g * cache.normalized, "TWH", "sum"),
-                    f"{self.name}.beta": reduce(g, "TWH", "sum")}
+        g = np.ascontiguousarray(g)
+        g_gamma = (g * cache.normalized).sum(axis=(0, 2, 3), keepdims=True)
+        return gx, {f"{self.name}.gamma": g_gamma,
+                    f"{self.name}.beta": g.sum(axis=(0, 2, 3), keepdims=True)}
 
     def parameters(self):
         if self.affine:

@@ -10,8 +10,10 @@ Variances are biased (divide by the group size). Batch norm keeps
 exponential running statistics for evaluation; instance norm behaves
 identically in training and evaluation, which is the whole point of it.
 
-All reductions go through :func:`normkit.tensor.reduce`, so each group's
-mean and variance depends only on that group's values.
+A group is a numpy axis tuple: (0, 2, 3) for batch norm, (2, 3) for instance
+norm. Every sum runs over a C-contiguous array, so its bits do not depend on
+the input's memory layout, and an instance-norm group's sum is one row sum
+that no other group touches.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateInput, InvalidArgument, MissingForward, NotCalibrated, ShapeMismatch
-from .tensor import Tensor4, reduce, require_tensor4
+from .tensor import Tensor4, require_tensor4
 
 DEFAULT_EPS = 1e-5
 DEFAULT_MOMENTUM = 0.1
@@ -61,7 +63,7 @@ class NormCache:
     var: np.ndarray
     normalized: np.ndarray
     inv_std: np.ndarray
-    group_axes: str  # "TWH" for batch norm, "WH" for instance norm
+    group_axes: tuple[int, ...]  # (0, 2, 3) for batch norm, (2, 3) for instance norm
 
 
 def contrast_norm(x: Tensor4) -> Tensor4:
@@ -73,7 +75,7 @@ def contrast_norm(x: Tensor4) -> Tensor4:
     1e-12 of zero are rejected.
     """
     require_tensor4(x, "x")
-    sums = reduce(x, "WH", "sum")
+    sums = np.ascontiguousarray(x).sum(axis=(2, 3), keepdims=True)
     bad = np.abs(sums) <= 1e-12
     if bad.any():
         t, i = np.argwhere(bad)[0][:2]
@@ -84,10 +86,11 @@ def contrast_norm(x: Tensor4) -> Tensor4:
 
 
 def _norm_forward(x, eps, group_axes, mu=None, var=None):
+    x = np.ascontiguousarray(x)
     if mu is None:
-        mu = reduce(x, group_axes, "mean")
+        mu = x.mean(axis=group_axes, keepdims=True)
         centered = x - mu
-        var = reduce(centered * centered, group_axes, "mean")
+        var = (centered * centered).mean(axis=group_axes, keepdims=True)
     else:
         centered = x - mu
     std = np.sqrt(var + eps)
@@ -118,14 +121,14 @@ def batch_norm_forward(
             f"running stats track {rs.running_mu.shape[1]} channels, input has {x.shape[1]}"
         )
     if mode == "eval":
-        return _norm_forward(x, eps, "TWH", rs.running_mu, rs.running_var)[0], None
-    y, mu, var, inv_std = _norm_forward(x, eps, "TWH")
+        return _norm_forward(x, eps, (0, 2, 3), rs.running_mu, rs.running_var)[0], None
+    y, mu, var, inv_std = _norm_forward(x, eps, (0, 2, 3))
     if rs is not None:
         m = DEFAULT_MOMENTUM
         rs.running_mu = (1.0 - m) * rs.running_mu + m * mu
         rs.running_var = (1.0 - m) * rs.running_var + m * var
         rs.sample_count += 1
-    return y, NormCache(mu, var, normalized=y, inv_std=inv_std, group_axes="TWH")
+    return y, NormCache(mu, var, normalized=y, inv_std=inv_std, group_axes=(0, 2, 3))
 
 
 def instance_norm_forward(x: Tensor4, eps: float = DEFAULT_EPS) -> tuple[Tensor4, NormCache]:
@@ -137,8 +140,8 @@ def instance_norm_forward(x: Tensor4, eps: float = DEFAULT_EPS) -> tuple[Tensor4
     require_tensor4(x, "x")
     if eps < 0:
         raise InvalidArgument(f"eps must be >= 0, got {eps}")
-    y, mu, var, inv_std = _norm_forward(x, eps, "WH")
-    return y, NormCache(mu, var, normalized=y, inv_std=inv_std, group_axes="WH")
+    y, mu, var, inv_std = _norm_forward(x, eps, (2, 3))
+    return y, NormCache(mu, var, normalized=y, inv_std=inv_std, group_axes=(2, 3))
 
 
 def norm_backward(grad_out: Tensor4, cache: NormCache) -> Tensor4:
@@ -155,6 +158,7 @@ def norm_backward(grad_out: Tensor4, cache: NormCache) -> Tensor4:
         )
     axes = cache.group_axes
     y = cache.normalized
-    g_mean = reduce(grad_out, axes, "mean")
-    gy_mean = reduce(grad_out * y, axes, "mean")
+    grad_out = np.ascontiguousarray(grad_out)
+    g_mean = grad_out.mean(axis=axes, keepdims=True)
+    gy_mean = (grad_out * y).mean(axis=axes, keepdims=True)
     return cache.inv_std * (grad_out - g_mean - y * gy_mean)

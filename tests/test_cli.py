@@ -108,6 +108,22 @@ class TestTrainCommand:
                        "--out", str(tmp_path / "w"), *TINY)
         assert code == 3
 
+    @pytest.mark.parametrize("where", ["missing-dir", "is-dir"])
+    def test_unwritable_out_exits_3_before_training(self, dataset, tmp_path, capsys, where):
+        directory, _, style = dataset
+        out = tmp_path / "gen.nrmk"
+        if where == "is-dir":
+            out.mkdir()
+        else:
+            out = tmp_path / "missing" / "gen.nrmk"
+        code = run_cli("train", "--style", style, "--content-dir", directory,
+                       "--out", str(out), *TINY)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "step" not in captured.out
+        assert str(out) in captured.err
+        assert not [p for p in tmp_path.rglob("*") if p.is_file()]
+
     def test_bad_style_file(self, dataset, tmp_path):
         directory, _, _ = dataset
         bad = str(tmp_path / "bad.ppm")

@@ -10,7 +10,8 @@ from normkit.tensor import RngStream
 
 
 def random_image(seed, w, h):
-    raw = RngStream(seed).generator.integers(0, 256, size=w * h * 3, dtype=np.uint8)
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    raw = rng.integers(0, 256, size=w * h * 3, dtype=np.uint8)
     return ImageRGB(width=w, height=h, pixels=raw.tobytes())
 
 

@@ -16,6 +16,18 @@ from normkit.norms import (
 from normkit.tensor import RngStream
 
 
+def group_sum_oracle(x, axes):
+    """Each group over numpy ``axes``: its members alone, in ascending flat index order, summed."""
+    members = {}
+    for index in np.ndindex(x.shape):
+        key = tuple(0 if a in axes else i for a, i in enumerate(index))
+        members.setdefault(key, []).append(x[index])
+    out = np.zeros(tuple(1 if a in axes else d for a, d in enumerate(x.shape)))
+    for key, values in members.items():
+        out[key] = np.array(values).sum()
+    return out
+
+
 class TestContrastNorm:
     def test_uniform_plane(self):
         y = contrast_norm(np.full((1, 1, 2, 2), 1.0))
@@ -180,6 +192,58 @@ class TestBatchCoupling:
         y, _ = batch_norm_forward(x, mode="train")
         y_perm, _ = batch_norm_forward(x[perm].copy(), mode="train")
         assert np.max(np.abs(y_perm - y[perm])) < 1e-12
+
+
+ORACLE_INPUTS = [
+    pytest.param(RngStream(99).normal((2, 3, 4, 5)), id="random"),
+    pytest.param(np.array([-0.0, 1.5, -2.0]).reshape(1, 3, 1, 1), id="one-member"),
+    # 384 members per group: numpy's row sum splits rows longer than 128 in halves
+    pytest.param(RngStream(98).normal((3, 2, 16, 24)), id="long-groups"),
+]
+
+
+def relaid(a, layout):
+    """The same values as ``a`` in another memory layout."""
+    if layout == "fortran":
+        return np.asfortranarray(a)
+    return np.ascontiguousarray(a.transpose(0, 1, 3, 2)).transpose(0, 1, 3, 2)
+
+
+class TestGroupStatistics:
+    @pytest.mark.parametrize("x", ORACLE_INPUTS)
+    def test_instance_mean_matches_oracle_bitwise(self, x):
+        # each (t, c) plane is summed alone, so no batch companion can move its bits
+        _, cache = instance_norm_forward(x)
+        expect = group_sum_oracle(x, (2, 3)) / (x.shape[2] * x.shape[3])
+        assert cache.mu.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("x", ORACLE_INPUTS)
+    def test_batch_mean_matches_oracle(self, x):
+        # numpy sums (T, W, H) one T slice at a time, not as one row, so only
+        # within rounding: 1e-15 of the group's mean magnitude
+        _, cache = batch_norm_forward(x, mode="train")
+        expect = group_sum_oracle(x, (0, 2, 3)) / (x.shape[0] * x.shape[2] * x.shape[3])
+        scale = np.abs(x).mean(axis=(0, 2, 3), keepdims=True)
+        assert np.all(np.abs(cache.mu - expect) <= 1e-15 * scale)
+
+    @settings(max_examples=50)
+    @given(kind=st.sampled_from(["batch", "instance"]),
+           layout=st.sampled_from(["fortran", "transposed"]),
+           shape=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 9),
+                           st.integers(1, 9)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_bits_do_not_depend_on_memory_layout(self, kind, layout, shape, seed):
+        rng = RngStream(seed)
+        x, g = rng.normal(shape), rng.normal(shape)
+
+        def run(x, g):
+            if kind == "batch":
+                y, cache = batch_norm_forward(x, mode="train")
+            else:
+                y, cache = instance_norm_forward(x)
+            return y.tobytes(), cache.mu.tobytes(), norm_backward(g, cache).tobytes()
+
+        assert run(relaid(x, layout), relaid(g, layout)) == run(x, g)
 
 
 class TestNormBackward:
