@@ -20,27 +20,28 @@ convolutions on the low-res map padded by 1, whose outputs interleave into
 the high-res result. Reflect padding at the high resolution repeats the edge
 pixel at the low resolution; zero padding stays zero.
 
-The core's patches are tap-major, ``(T, P, C_in*k*k, OW*OH)``: each copy
-reads contiguous rows of the padded input, and each phase's GEMM is
-``(C_out, C_in*k*k) @ (C_in*k*k, OW*OH)``, run by a stacked ``matmul`` as one
-GEMM per instance and phase. The backward's input-gradient columns come out
-in the same layout, so each of the ``P*k*k`` strided slice-adds into the
-padded gradient reads contiguous ``(rows, OH)`` planes.
+The forward's patches are tap-major, ``(T, P, C_in*k*k, OW*OH)``, and each
+phase's GEMM ``(C_out, C_in*k*k) @ (C_in*k*k, OW*OH)`` runs through a stacked
+``matmul`` as one GEMM per instance and phase, in bands of output rows
+(low-res rows for the fused layer). Each band is copied into one buffer of
+at most ``PATCH_BAND_BYTES`` per instance; the last, shorter band is its
+contiguous prefix, so each band GEMM's operand has the shape and strides of
+a fresh array. Train and eval run the same forward, which returns its padded
+input as the cache; a caller that will not backpropagate drops it.
 
-Forward and backward each run one loop over bands of output rows (low-res
-rows for the fused layer). Every band is copied into one buffer of at most
-``PATCH_BAND_BYTES`` per instance, allocated once per call, and runs its own
-GEMMs; the last, shorter band is a contiguous prefix of that buffer, so
-each band GEMM's operand has the shape and strides of a fresh array.
-Training and inference run the same forward. It returns its padded input
-as the cache, and the backward rebuilds each band from it with the same
-generator, adds the band's weight-gradient term, then builds the band's
-input-gradient columns in the same buffer. So no layer's full patch or
-column matrix is ever held; a caller that will not backpropagate drops the
-cache. With more than one band the gradients' last bits depend on the band
-height. That height depends only on one instance's geometry, never on the
-batch size, so an instance's rows stay bitwise independent of its batch
-companions.
+The backward builds no patches. It reads the cached padded input as its
+``s*s`` parity planes for stride ``s`` (at stride 1, one plane and no copy),
+flattened to row width ``hq``. With each phase's output gradient padded with
+zero columns to rows of ``hq``, tap ``(d, e)`` of phase ``(a, b)`` reads
+plane ``((a+d)%s, (b+e)%s)`` from flat offset ``((a+d)//s)*hq + (b+e)//s``
+on (Dumoulin & Visin, arXiv:1603.07285): one contiguous slice. So a tap's
+weight gradient is one stacked GEMM on the cache, summed over T, and its
+input-gradient columns ``W^T @ g``, built band by band in one buffer as the
+forward's patches are, go back with one contiguous slice-add. 256 KiB per
+instance keeps a batch of four's buffer inside a 2 MiB L2. With more than
+one band the input gradient's last bits depend on the band height, which
+depends only on one instance's geometry, never on the batch size, so an
+instance's rows stay bitwise independent of its batch companions.
 """
 
 from __future__ import annotations
@@ -61,8 +62,9 @@ from .tensor import Tensor4, require_tensor4
 
 PADDING_MODES = ("zero", "reflect")
 
-# one instance's patch bytes per band GEMM; a band is at least one row
-PATCH_BAND_BYTES = 1 << 20
+# one instance's patch or input-gradient column bytes per band; a band is
+# at least one row
+PATCH_BAND_BYTES = 1 << 18
 
 
 @dataclass
@@ -95,7 +97,7 @@ class ConvParams:
 
 @dataclass
 class ConvCache:
-    xp: np.ndarray  # the padded input, owned; the backward rebuilds its patch bands
+    xp: np.ndarray  # the padded input, owned; the backward reads its parity planes
     window: tuple  # (phases, k, stride, pad, np.pad mode)
     out_shape: tuple  # (T, C_out, phases*OW, phases*OH)
 
@@ -181,9 +183,8 @@ def _patch_gemm(
 
 def _patch_bands(xp: np.ndarray, window: tuple, ow: int, oh: int):
     """Yield ``(r0, r1, patches)`` over bands of output rows: tap-major ``(T, P,
-    C_in*k*k, (r1-r0)*OH)`` copies of ``xp``'s windows. Forward and backward
-    both build their bands here, so they share one partition and its bits.
-    Every band is a view of one buffer, overwritten by the next band."""
+    C_in*k*k, (r1-r0)*OH)`` copies of ``xp``'s windows. Every band is a view
+    of one buffer, overwritten by the next band."""
     phases, k, stride = window[:3]
     t_count, c_in = xp.shape[:2]
     s0, s1, s2, s3 = xp.strides
@@ -214,32 +215,51 @@ def _patch_gemm_backward(
         raise ShapeMismatch(
             f"grad_out shape {grad_out.shape} != forward output {cache.out_shape}"
         )
-    phases, k, s, pad, pad_mode = window  # s: the stride
-    t_count, c_in, wp, hp = cache.xp.shape
-    c_out = w_ph.shape[1]
-    ow, oh = grad_out.shape[2] // phases, grad_out.shape[3] // phases
+    grad_w, gxp = _shift_gemms(grad_out, cache.xp, window, w_ph)
+    # _shift_gemms' buffers are gone; interleave the planes (a copy unless s == 1)
+    t_count, s, _, c_in, wq, hq = gxp.shape
+    gxp = gxp.transpose(0, 3, 4, 1, 5, 2).reshape(t_count, c_in, wq * s, hq * s)
+    gxp = gxp[:, :, : cache.xp.shape[2], : cache.xp.shape[3]]
     grad_b = grad_out.sum(axis=(0, 2, 3)) if bias is not None else None
-    # (T, P, C_out, OW*OH): the output gradient of each phase (a, b)
-    g = np.ascontiguousarray(
-        grad_out.reshape(t_count, c_out, ow, phases, oh, phases).transpose(0, 3, 5, 1, 2, 4)
-    ).reshape(t_count, phases * phases, c_out, ow * oh)
-    # the forward's bands, rebuilt one at a time from the cached padded input:
-    # each adds its weight-gradient term, then takes its input-gradient columns
-    gxp = np.zeros((t_count, c_in, wp, hp))
-    for r0, r1, patches in _patch_bands(cache.xp, window, ow, oh):
-        g_band = g[..., r0 * oh : r1 * oh]
-        term = np.matmul(g_band, patches.transpose(0, 1, 3, 2)).sum(axis=0)
-        grad_w = term if r0 == 0 else grad_w + term
-        # (T, a, b, C_in, d, e, rows, OH): contiguous (rows, OH) planes per channel
-        np.matmul(w_ph.transpose(0, 2, 1), g_band, out=patches)
-        cols = patches.reshape(t_count, phases, phases, c_in, k, k, r1 - r0, oh)
-        # tap (d, e) of phase (a, b) read the padded input at offset (a+d, b+e)
-        for a, b, d, e in np.ndindex(phases, phases, k, k):
-            gxp[:, :, a + d + r0 * s : a + d + r1 * s : s, b + e : b + e + oh * s : s] += (
-                cols[:, a, b, :, d, e]
-            )
-    del patches, cols  # the band buffer goes before the un-pad copies gxp
-    return _unpad(gxp, pad, pad_mode), grad_w, grad_b
+    return _unpad(gxp, *window[3:]), grad_w, grad_b
+
+
+def _shift_gemms(grad_out: Tensor4, xp: np.ndarray, window: tuple, w_ph: np.ndarray):
+    """``grad_w`` and the gradient of ``xp``'s parity planes, ``(T, s, s, C_in, wq, hq)``."""
+    phases, k, s = window[:3]
+    t_count, c_in, wp, hp = xp.shape
+    p_count, c_out, kk = phases * phases, w_ph.shape[1], k * k
+    ow, oh = grad_out.shape[2] // phases, grad_out.shape[3] // phases
+    # plane (p, q) holds xp[:, :, p::s, q::s], zero-filled to wq x hq
+    wq, hq = -(-wp // s), -(-hp // s)
+    if wp % s or hp % s:
+        xp = np.pad(xp, ((0, 0), (0, 0), (0, wq * s - wp), (0, hq * s - hp)))
+    xq = xp.reshape(t_count, c_in, wq, s, hq, s).transpose(0, 3, 5, 1, 2, 4)
+    xq = xq.reshape(t_count, s * s, c_in, wq * hq)  # a copy unless s == 1
+    g = np.zeros((t_count, phases, phases, c_out, ow, hq))
+    g[..., :oh] = grad_out.reshape(t_count, c_out, ow, phases, oh, phases).transpose(
+        0, 3, 5, 1, 2, 4)
+    # (T, P, C_out, n): the last row's zero columns would run past a plane's end
+    n = (ow - 1) * hq + oh
+    g = g.reshape(t_count, p_count, c_out, ow * hq)[..., :n]
+    taps = [(a * phases + b, d * k + e, (a + d) % s * s + (b + e) % s,
+             (a + d) // s * hq + (b + e) // s) for a, b, d, e in np.ndindex(phases, phases, k, k)]
+    grad_w = np.empty((p_count, c_out, c_in, kk))
+    for ph, tap, pl, off in taps:
+        x_tap = xq[:, pl, :, off : off + n].transpose(0, 2, 1)
+        grad_w[ph, :, :, tap] = np.matmul(g[:, ph], x_tap).sum(axis=0)
+    # the last, shorter band is a contiguous prefix of the buffer
+    rows = min(ow, max(1, PATCH_BAND_BYTES // (8 * p_count * c_in * kk * hq)))
+    buf = np.empty(t_count * p_count * c_in * kk * rows * hq)
+    gq = np.zeros(xq.shape)
+    for c0 in range(0, n, rows * hq):
+        m = min(rows * hq, n - c0)
+        cols = buf[: t_count * p_count * c_in * kk * m].reshape(t_count, p_count, -1, m)
+        np.matmul(w_ph.transpose(0, 2, 1), g[..., c0 : c0 + m], out=cols)
+        cols = cols.reshape(t_count, p_count, c_in, kk, m)
+        for ph, tap, pl, off in taps:
+            gq[:, pl, :, off + c0 : off + c0 + m] += cols[:, ph, :, tap]
+    return grad_w.reshape(p_count, c_out, c_in * kk), gq.reshape(t_count, s, s, c_in, wq, hq)
 
 
 def conv2d_forward(x: Tensor4, p: ConvParams) -> tuple[Tensor4, ConvCache]:

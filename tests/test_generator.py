@@ -145,7 +145,7 @@ class TestForward:
     @pytest.mark.parametrize("size", [128, 256])
     def test_instance_mode_eval_equals_train_in_bands(self, size):
         # at these sizes the default budget splits every conv into bands
-        # (14 and 7 rows for head_conv); eval builds them one at a time
+        # (3 rows and 1 row for head_conv); eval builds them one at a time
         g = build(GeneratorConfig(norm_mode="instance"), RngStream(14))
         x = content_like(5, size=size)
         z = noise_for(g, x)
@@ -227,10 +227,10 @@ class TestBackward:
         assert traced_peak(g.forward, x, z, "eval") <= 3.5 * activation
 
     def test_train_step_peak_memory_at_128_within_18_activations(self):
-        # each train conv caches its padded input, not its patches, and the
-        # backward rebuilds one band at a time and builds that band's
-        # input-gradient columns in the same buffer, so a step holds no
-        # layer's full patch or gradient-column matrix
+        # each train conv caches its padded input, not its patches; the
+        # backward reads its weight-gradient operands from that input and
+        # builds its input-gradient columns one band at a time, so a step
+        # holds no layer's full patch or gradient-column matrix
         g = build(GeneratorConfig(norm_mode="instance"), RngStream(21))
         x = content_like(8, size=128)
         z = noise_for(g, x)

@@ -10,7 +10,7 @@ from helpers import (
     upsample_nearest,
     upsample_nearest_adjoint,
 )
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normkit import layers
@@ -117,18 +117,40 @@ class TestConvForward:
 
 class TestConvBackward:
     def test_backward_holds_one_patch_band(self):
-        # the backward builds each band's patches and then its input-gradient
-        # columns in one buffer, so above its inputs, grad_x and the padded
-        # gradient it holds one band, not whole-image gradient columns. At
-        # 64x64 the band budget splits this conv into 3 bands of 28 rows
+        # the backward builds each band's input-gradient columns in one
+        # buffer, so above its inputs, grad_x and the padded gradient it holds
+        # one band, not whole-image gradient columns. At 64x64 the band budget
+        # splits this conv's backward into 11 bands of at most 6 rows
         x = RngStream(15).normal((4, 8, 64, 64))
         p = make_conv(RngStream(16), 3, 8, 3, bias=True, padding_mode="reflect", pad=1)
-        row_bytes = 8 * 8 * 9 * 64  # C_in * K * K * OH float64 per instance
+        row_bytes = 8 * 8 * 9 * 66  # C_in * K * K * padded H float64 per instance
         band_bytes = 4 * (layers.PATCH_BAND_BYTES // row_bytes) * row_bytes
         y, cache = conv2d_forward(x, p)
         g = RngStream(17).normal(y.shape)
         peak = traced_peak(conv2d_backward, g, cache, p)
         assert peak - x.nbytes - cache.xp.nbytes <= 1.5 * band_bytes
+
+    @pytest.mark.parametrize("forward,x_shape,c_out,stride,row_bytes,copy_bytes", [
+        # C_in * K * K * 33 per row, beside the four parity planes of the
+        # (4, 8, 66, 66) padded input
+        (conv2d_forward, (4, 8, 64, 64), 16, 2, 8 * 9 * 33 * 8, 4 * 8 * 66 * 66 * 8),
+        # 4 phases * C_in * 2 * 2 * 34 per low-res row, beside the output
+        # gradient's phases padded to rows of 34: (4, 4, 8, 32 * 34)
+        (upsample_conv_forward, (4, 16, 32, 32), 8, 1, 4 * 16 * 4 * 34 * 8,
+         4 * 4 * 8 * 32 * 34 * 8),
+    ])
+    def test_stride_2_and_fused_backward_hold_one_band(self, forward, x_shape, c_out, stride,
+                                                       row_bytes, copy_bytes):
+        # the same bound at a 64x64 stride-2 conv and fused layer, above the
+        # one image-sized copy each layer's layout adds
+        x = RngStream(15).normal(x_shape)
+        p = make_conv(RngStream(16), c_out, x_shape[1], 3, stride=stride, padding_mode="reflect",
+                      pad=1)
+        band_bytes = 4 * (layers.PATCH_BAND_BYTES // row_bytes) * row_bytes
+        y, cache = forward(x, p)
+        g = RngStream(17).normal(y.shape)
+        peak = traced_peak(BACKWARD[forward], g, cache, p)
+        assert peak - x.nbytes - cache.xp.nbytes - copy_bytes <= 1.5 * band_bytes
 
     def test_zero_grad_out(self):
         rng = RngStream(11)
@@ -320,7 +342,7 @@ BACKWARD = {conv2d_forward: conv2d_backward, upsample_conv_forward: upsample_con
 
 
 def train_bands(cache, y):
-    """The patch bands a backward rebuilds from ``cache``, under the current budget."""
+    """The patch bands the forward builds from ``cache``'s padded input, at the current budget."""
     phases = cache.window[0]
     ow, oh = y.shape[2] // phases, y.shape[3] // phases
     # each band is a view of one reused buffer, so keep a copy of it
@@ -424,19 +446,18 @@ class TestBandedPath:
         y_two, _ = forward(x, p)
         monkeypatch.setattr(layers, "PATCH_BAND_BYTES", 3 * row_bytes)
         y_three, cache = forward(x, p)
-        # the backward rebuilds the bands from the cached input: side by side,
-        # the bands of one row and of three rows hold the same patches, so
-        # the backward's operands do not change
+        # side by side, the bands of one row and of three rows hold the same
+        # patches
         bands = train_bands(cache, y_three)
         assert 1 < len(bands) < len(bands_one)
         assert np.array_equal(np.concatenate(bands, axis=3), np.concatenate(bands_one, axis=3))
         assert np.max(np.abs(y_three - y_one)) <= 1e-12
         assert np.max(np.abs(y_two - y_one)) <= 1e-12
-        # both gradients are built band by band, so their sums at band edges
-        # may round differently
+        # grad_x is built band by band, so its sums at band edges may round
+        # differently; grad_w's GEMMs read whole planes under any budget
         grad_x, grad_w, grad_b = backward(g, cache, p)
         assert np.max(np.abs(grad_x - grads_one[0])) <= 1e-12
-        assert np.max(np.abs(grad_w - grads_one[1])) <= 1e-12
+        assert grad_w.tobytes() == grads_one[1].tobytes()
         assert grad_b.tobytes() == grads_one[2].tobytes()
 
     @pytest.mark.parametrize("forward,row_bytes", [
@@ -470,6 +491,38 @@ class TestBandedPath:
             conv2d_backward(np.zeros_like(y_up), cache_up, p)
         with pytest.raises(MissingForward):
             upsample_conv_backward(np.zeros_like(y_conv), cache_conv, p)
+
+
+@st.composite
+def batch_cases(draw):
+    """(forward, x, params, band budget) for row independence of the input gradient."""
+    forward, stride = draw(st.sampled_from(
+        [(conv2d_forward, 1), (conv2d_forward, 2), (upsample_conv_forward, 1)]))
+    side = st.integers(6, 24)
+    t, c_in, c_out = draw(st.integers(2, 3)), draw(st.integers(1, 16)), draw(st.integers(1, 8))
+    rng = RngStream(draw(st.integers(0, 2**16)))
+    x = rng.normal((t, c_in, draw(side), draw(side)))
+    p = make_conv(rng, c_out, c_in, 3, stride=stride,
+                  padding_mode=draw(st.sampled_from(["zero", "reflect"])), pad=1)
+    # the default budget, or one row per band
+    return forward, x, p, draw(st.sampled_from([layers.PATCH_BAND_BYTES, 1]))
+
+
+@settings(max_examples=50)
+@given(batch_cases())
+def test_input_gradient_rows_bitwise_independent_of_batch(case):
+    # criterion 4 for grad_x: an instance's rows equal its solo backward's,
+    # so the band height must not follow the batch size
+    forward, x, p, budget = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(layers, "PATCH_BAND_BYTES", budget)
+        y, cache = forward(x, p)
+        g = RngStream(5).normal(y.shape)
+        grad_x = BACKWARD[forward](g, cache, p)[0]
+        for t in range(x.shape[0]):
+            _, cache_t = forward(x[t : t + 1].copy(), p)
+            solo = BACKWARD[forward](g[t : t + 1].copy(), cache_t, p)[0]
+            assert grad_x[t : t + 1].tobytes() == solo.tobytes()
 
 
 class TestRelu:
