@@ -26,26 +26,28 @@ phase's GEMM ``(C_out, C_in*k*k) @ (C_in*k*k, OW*OH)`` runs through a stacked
 (low-res rows for the fused layer). Each band is copied into one buffer of
 at most ``PATCH_BAND_BYTES`` per instance; the last, shorter band is its
 contiguous prefix, so each band GEMM's operand has the shape and strides of
-a fresh array. Train and eval run the same forward, which returns its padded
+a fresh array. 256 KiB per instance keeps a batch of four's buffer inside a
+2 MiB L2. Train and eval run the same forward, which returns its padded
 input as the cache; a caller that will not backpropagate drops it.
 
-The backward builds no patches. It reads the cached padded input as its
-``s*s`` parity planes for stride ``s`` (at stride 1, one plane and no copy),
-flattened to row width ``hq``. With each phase's output gradient padded with
-zero columns to rows of ``hq``, tap ``(d, e)`` of phase ``(a, b)`` reads
-plane ``((a+d)%s, (b+e)%s)`` from flat offset ``((a+d)//s)*hq + (b+e)//s``
-on (Dumoulin & Visin, arXiv:1603.07285): one contiguous slice. So a tap's
-weight gradient is one stacked GEMM on the cache, summed over T, and its
-input-gradient columns ``W^T @ g``, built band by band in one buffer as the
-forward's patches are, go back with one contiguous slice-add. 256 KiB per
-instance keeps a batch of four's buffer inside a 2 MiB L2. With more than
-one band the input gradient's last bits depend on the band height, which
-depends only on one instance's geometry, never on the batch size, so an
-instance's rows stay bitwise independent of its batch companions.
+The backward builds no patches and runs in no bands. It reads the cached
+padded input as its ``s*s`` parity planes for stride ``s`` (at stride 1, one
+plane and no copy), flattened to row width ``hq``. With each phase's output
+gradient padded with zero columns to rows of ``hq``, tap ``(d, e)`` of phase
+``(a, b)`` reads plane ``((a+d)%s, (b+e)%s)`` from flat offset
+``((a+d)//s)*hq + (b+e)//s`` on (Dumoulin & Visin, arXiv:1603.07285): one
+contiguous slice. So a tap's weight gradient is one stacked GEMM on the
+cache, summed over T, and its input-gradient columns ``W_tap^T @ g``, one
+stacked GEMM into one reused ``(T, C_in, n)`` buffer, go back with one
+contiguous slice-add into the whole plane. Every GEMM has one instance's
+shape whatever the batch size, and every input-gradient element takes its
+tap contributions in tap order, so an instance's rows are bitwise
+independent of its batch companions and of the forward's band budget.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,8 +64,7 @@ from .tensor import Tensor4, require_tensor4
 
 PADDING_MODES = ("zero", "reflect")
 
-# one instance's patch or input-gradient column bytes per band; a band is
-# at least one row
+# one instance's forward patch bytes per band; a band is at least one row
 PATCH_BAND_BYTES = 1 << 18
 
 
@@ -197,7 +198,7 @@ def _patch_bands(xp: np.ndarray, window: tuple, ow: int, oh: int):
     for r0 in range(0, ow, rows):
         r1 = min(r0 + rows, ow)
         shape = (t_count, phases * phases, c_in * k * k, (r1 - r0) * oh)
-        patches = buf[: np.prod(shape)].reshape(shape)
+        patches = buf[: math.prod(shape)].reshape(shape)
         patches.reshape(t_count, phases, phases, c_in, k, k, r1 - r0, oh)[...] = (
             win[:, :, :, :, r0:r1].transpose(0, 2, 3, 1, 6, 7, 4, 5)
         )
@@ -248,17 +249,12 @@ def _shift_gemms(grad_out: Tensor4, xp: np.ndarray, window: tuple, w_ph: np.ndar
     for ph, tap, pl, off in taps:
         x_tap = xq[:, pl, :, off : off + n].transpose(0, 2, 1)
         grad_w[ph, :, :, tap] = np.matmul(g[:, ph], x_tap).sum(axis=0)
-    # the last, shorter band is a contiguous prefix of the buffer
-    rows = min(ow, max(1, PATCH_BAND_BYTES // (8 * p_count * c_in * kk * hq)))
-    buf = np.empty(t_count * p_count * c_in * kk * rows * hq)
+    # (P, kk, C_in, C_out): each tap's W^T is contiguous
+    w_t = np.ascontiguousarray(w_ph.reshape(p_count, c_out, c_in, kk).transpose(0, 3, 2, 1))
     gq = np.zeros(xq.shape)
-    for c0 in range(0, n, rows * hq):
-        m = min(rows * hq, n - c0)
-        cols = buf[: t_count * p_count * c_in * kk * m].reshape(t_count, p_count, -1, m)
-        np.matmul(w_ph.transpose(0, 2, 1), g[..., c0 : c0 + m], out=cols)
-        cols = cols.reshape(t_count, p_count, c_in, kk, m)
-        for ph, tap, pl, off in taps:
-            gq[:, pl, :, off + c0 : off + c0 + m] += cols[:, ph, :, tap]
+    cols = np.empty((t_count, c_in, n))
+    for ph, tap, pl, off in taps:
+        gq[:, pl, :, off : off + n] += np.matmul(w_t[ph, tap], g[:, ph], out=cols)
     return grad_w.reshape(p_count, c_out, c_in * kk), gq.reshape(t_count, s, s, c_in, wq, hq)
 
 

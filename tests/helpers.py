@@ -6,7 +6,9 @@ Gram, elementwise central differences.
 """
 
 import math
+import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
@@ -101,6 +103,15 @@ def fd_grad(f, x, h=1e-5):
     return g
 
 
+def child_env(**overrides):
+    """``os.environ`` and ``overrides``, with this checkout's ``src`` first on
+    ``PYTHONPATH``, so a child ``python`` imports the normkit under test."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, path] if path else [src]),
+                **overrides)
+
+
 def traced_peak(fn, *args):
     """Peak live bytes, of those allocated while ``fn(*args)`` runs (numpy reports its buffers)."""
     tracemalloc.start()
@@ -152,8 +163,6 @@ def make_fixture_image(seed, size=32, gain=1.0, offset=0.0):
 
 def write_fixture(directory, size=32):
     """Write the canonical dataset; returns (content paths, style path)."""
-    import os
-
     from normkit.imageio import write_ppm
 
     paths = []

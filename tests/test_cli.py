@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import flip_bit, make_fixture_image, write_fixture
+from helpers import child_env, flip_bit, make_fixture_image, write_fixture
 
 from normkit.cli import main
 from normkit.generator import Generator
@@ -409,7 +409,7 @@ class TestMiscSurface:
         import subprocess
         import sys
 
-        env = dict(os.environ, NORMKIT_THREADS="1")
+        env = child_env(NORMKIT_THREADS="1")
         result = subprocess.run(
             [sys.executable, "-m", "normkit.cli", "gradcheck", "--subject", "relu"],
             capture_output=True, text=True, env=env,
@@ -424,7 +424,7 @@ class TestMiscSurface:
 
         blas_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                      "NUMEXPR_NUM_THREADS")
-        env = dict(os.environ, NORMKIT_THREADS="1", **dict.fromkeys(blas_vars, "4"))
+        env = child_env(NORMKIT_THREADS="1", **dict.fromkeys(blas_vars, "4"))
         code = f"import os, normkit.cli; print(*(os.environ[v] for v in {blas_vars!r}))"
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                                 env=env)
@@ -442,7 +442,7 @@ class TestMiscSurface:
         outputs = []
         for cap in ("1", "2"):
             # the cap overrides any BLAS thread variable the environment sets
-            env = dict(os.environ, NORMKIT_THREADS=cap)
+            env = child_env(NORMKIT_THREADS=cap)
             out = str(tmp_path / f"gen{cap}.nrmk")
             styled = str(tmp_path / f"out{cap}.ppm")
             for argv in (["train", "--style", style, "--content-dir", directory, "--out", out,

@@ -229,7 +229,7 @@ class TestBackward:
     def test_train_step_peak_memory_at_128_within_18_activations(self):
         # each train conv caches its padded input, not its patches; the
         # backward reads its weight-gradient operands from that input and
-        # builds its input-gradient columns one band at a time, so a step
+        # builds one tap's input-gradient columns at a time, so a step
         # holds no layer's full patch or gradient-column matrix
         g = build(GeneratorConfig(norm_mode="instance"), RngStream(21))
         x = content_like(8, size=128)

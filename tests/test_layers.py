@@ -116,41 +116,38 @@ class TestConvForward:
 
 
 class TestConvBackward:
-    def test_backward_holds_one_patch_band(self):
-        # the backward builds each band's input-gradient columns in one
-        # buffer, so above its inputs, grad_x and the padded gradient it holds
-        # one band, not whole-image gradient columns. At 64x64 the band budget
-        # splits this conv's backward into 11 bands of at most 6 rows
+    def test_backward_holds_one_column_buffer(self):
+        # every tap's input-gradient columns W^T @ g go into one reused
+        # (T, C_in, n) buffer, so above its inputs, grad_x and the padded
+        # gradient the backward holds one tap's columns, not every tap's
         x = RngStream(15).normal((4, 8, 64, 64))
         p = make_conv(RngStream(16), 3, 8, 3, bias=True, padding_mode="reflect", pad=1)
-        row_bytes = 8 * 8 * 9 * 66  # C_in * K * K * padded H float64 per instance
-        band_bytes = 4 * (layers.PATCH_BAND_BYTES // row_bytes) * row_bytes
+        col_bytes = 4 * 8 * (63 * 66 + 64) * 8  # T * C_in * n, n = (OW-1) * padded H + OH
         y, cache = conv2d_forward(x, p)
         g = RngStream(17).normal(y.shape)
         peak = traced_peak(conv2d_backward, g, cache, p)
-        assert peak - x.nbytes - cache.xp.nbytes <= 1.5 * band_bytes
+        assert peak - x.nbytes - cache.xp.nbytes <= 1.5 * col_bytes
 
-    @pytest.mark.parametrize("forward,x_shape,c_out,stride,row_bytes,copy_bytes", [
-        # C_in * K * K * 33 per row, beside the four parity planes of the
-        # (4, 8, 66, 66) padded input
-        (conv2d_forward, (4, 8, 64, 64), 16, 2, 8 * 9 * 33 * 8, 4 * 8 * 66 * 66 * 8),
-        # 4 phases * C_in * 2 * 2 * 34 per low-res row, beside the output
-        # gradient's phases padded to rows of 34: (4, 4, 8, 32 * 34)
-        (upsample_conv_forward, (4, 16, 32, 32), 8, 1, 4 * 16 * 4 * 34 * 8,
+    @pytest.mark.parametrize("forward,x_shape,c_out,stride,col_bytes,copy_bytes", [
+        # T * C_in * (31 * 33 + 32) on planes of 33 x 33, beside the four
+        # parity planes of the (4, 8, 66, 66) padded input
+        (conv2d_forward, (4, 8, 64, 64), 16, 2, 4 * 8 * (31 * 33 + 32) * 8, 4 * 8 * 66 * 66 * 8),
+        # T * C_in * (31 * 34 + 32) on the 34 x 34 low-res plane, beside the
+        # output gradient's phases padded to rows of 34: (4, 4, 8, 32 * 34)
+        (upsample_conv_forward, (4, 16, 32, 32), 8, 1, 4 * 16 * (31 * 34 + 32) * 8,
          4 * 4 * 8 * 32 * 34 * 8),
     ])
-    def test_stride_2_and_fused_backward_hold_one_band(self, forward, x_shape, c_out, stride,
-                                                       row_bytes, copy_bytes):
+    def test_stride_2_and_fused_backward_hold_one_column_buffer(self, forward, x_shape, c_out,
+                                                                stride, col_bytes, copy_bytes):
         # the same bound at a 64x64 stride-2 conv and fused layer, above the
         # one image-sized copy each layer's layout adds
         x = RngStream(15).normal(x_shape)
         p = make_conv(RngStream(16), c_out, x_shape[1], 3, stride=stride, padding_mode="reflect",
                       pad=1)
-        band_bytes = 4 * (layers.PATCH_BAND_BYTES // row_bytes) * row_bytes
         y, cache = forward(x, p)
         g = RngStream(17).normal(y.shape)
         peak = traced_peak(BACKWARD[forward], g, cache, p)
-        assert peak - x.nbytes - cache.xp.nbytes - copy_bytes <= 1.5 * band_bytes
+        assert peak - x.nbytes - cache.xp.nbytes - copy_bytes <= 1.5 * col_bytes
 
     def test_zero_grad_out(self):
         rng = RngStream(11)
@@ -453,10 +450,9 @@ class TestBandedPath:
         assert np.array_equal(np.concatenate(bands, axis=3), np.concatenate(bands_one, axis=3))
         assert np.max(np.abs(y_three - y_one)) <= 1e-12
         assert np.max(np.abs(y_two - y_one)) <= 1e-12
-        # grad_x is built band by band, so its sums at band edges may round
-        # differently; grad_w's GEMMs read whole planes under any budget
+        # the backward has no bands: it reads whole planes under any budget
         grad_x, grad_w, grad_b = backward(g, cache, p)
-        assert np.max(np.abs(grad_x - grads_one[0])) <= 1e-12
+        assert grad_x.tobytes() == grads_one[0].tobytes()
         assert grad_w.tobytes() == grads_one[1].tobytes()
         assert grad_b.tobytes() == grads_one[2].tobytes()
 
@@ -495,7 +491,7 @@ class TestBandedPath:
 
 @st.composite
 def batch_cases(draw):
-    """(forward, x, params, band budget) for row independence of the input gradient."""
+    """(forward, x, params) for row independence of the input gradient."""
     forward, stride = draw(st.sampled_from(
         [(conv2d_forward, 1), (conv2d_forward, 2), (upsample_conv_forward, 1)]))
     side = st.integers(6, 24)
@@ -504,25 +500,22 @@ def batch_cases(draw):
     x = rng.normal((t, c_in, draw(side), draw(side)))
     p = make_conv(rng, c_out, c_in, 3, stride=stride,
                   padding_mode=draw(st.sampled_from(["zero", "reflect"])), pad=1)
-    # the default budget, or one row per band
-    return forward, x, p, draw(st.sampled_from([layers.PATCH_BAND_BYTES, 1]))
+    return forward, x, p
 
 
 @settings(max_examples=50)
 @given(batch_cases())
 def test_input_gradient_rows_bitwise_independent_of_batch(case):
     # criterion 4 for grad_x: an instance's rows equal its solo backward's,
-    # so the band height must not follow the batch size
-    forward, x, p, budget = case
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(layers, "PATCH_BAND_BYTES", budget)
-        y, cache = forward(x, p)
-        g = RngStream(5).normal(y.shape)
-        grad_x = BACKWARD[forward](g, cache, p)[0]
-        for t in range(x.shape[0]):
-            _, cache_t = forward(x[t : t + 1].copy(), p)
-            solo = BACKWARD[forward](g[t : t + 1].copy(), cache_t, p)[0]
-            assert grad_x[t : t + 1].tobytes() == solo.tobytes()
+    # so no GEMM may run over more than one instance
+    forward, x, p = case
+    y, cache = forward(x, p)
+    g = RngStream(5).normal(y.shape)
+    grad_x = BACKWARD[forward](g, cache, p)[0]
+    for t in range(x.shape[0]):
+        _, cache_t = forward(x[t : t + 1].copy(), p)
+        solo = BACKWARD[forward](g[t : t + 1].copy(), cache_t, p)[0]
+        assert grad_x[t : t + 1].tobytes() == solo.tobytes()
 
 
 class TestRelu:
