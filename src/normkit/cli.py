@@ -7,7 +7,11 @@ one produces byte-identical output files.
 
 from __future__ import annotations
 
+import argparse
 import os
+import sys
+from dataclasses import fields, replace
+from math import isfinite
 
 
 def _apply_thread_cap():
@@ -24,10 +28,14 @@ def _apply_thread_cap():
 
 _apply_thread_cap()
 
-import argparse  # noqa: E402
-import sys  # noqa: E402
-
-from .errors import Diverged, InvalidArgument, NormkitError  # noqa: E402
+# numpy loads with these imports, so they all follow the cap
+from .errors import Diverged, InputError, InvalidArgument, NormkitError  # noqa: E402
+from .generator import NORM_MODES, Generator  # noqa: E402
+from .gradcheck import gradcheck  # noqa: E402
+from .imageio import image_to_tensor, read_ppm, tensor_to_image, write_ppm  # noqa: E402
+from .layers import PADDING_MODES  # noqa: E402
+from .tensor import RngStream  # noqa: E402
+from .training import STREAM_NOISE, TrainConfig, serialize_report, train  # noqa: E402
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -37,9 +45,6 @@ EXIT_DIVERGED = 4
 
 
 def _add_train_flags(parser, with_out=True):
-    from .generator import NORM_MODES
-    from .layers import PADDING_MODES
-
     # parsers built with argument_default=SUPPRESS: an omitted flag leaves no
     # attribute, so TrainConfig's field defaults are the only defaults
     parser.add_argument("--style", required=True, help="style image (binary PPM)")
@@ -64,8 +69,6 @@ def _add_train_flags(parser, with_out=True):
 
 
 def _content_paths(directory):
-    from .errors import InputError
-
     try:
         names = sorted(n for n in os.listdir(directory) if n.lower().endswith(".ppm"))
     except OSError as exc:
@@ -76,18 +79,11 @@ def _content_paths(directory):
 
 
 def _train_config(args, dataset):
-    from dataclasses import fields
-
-    from .training import TrainConfig
-
     names = {f.name for f in fields(TrainConfig)}
     return TrainConfig(dataset=dataset, **{k: v for k, v in vars(args).items() if k in names})
 
 
 def cmd_train(parser, args) -> int:
-    from .errors import InputError
-    from .training import serialize_report, train
-
     config = _train_config(args, _content_paths(args.content_dir))
     # fail before training, not after the last step
     if os.path.isdir(args.out):
@@ -107,9 +103,6 @@ def cmd_train(parser, args) -> int:
 
 
 def _stylize_tensor(generator, content, seed):
-    from .tensor import RngStream
-    from .training import STREAM_NOISE
-
     t_count, _, w, h = content.shape
     nz = generator.config.noise_channels
     z = RngStream(seed, STREAM_NOISE).normal((t_count, nz, w, h)) if nz > 0 else None
@@ -119,9 +112,6 @@ def _stylize_tensor(generator, content, seed):
 
 
 def cmd_stylize(parser, args) -> int:
-    from .generator import Generator
-    from .imageio import image_to_tensor, read_ppm, tensor_to_image, write_ppm
-
     generator = Generator.load(args.weights)
     img = read_ppm(args.input)
     content = image_to_tensor(img)
@@ -132,18 +122,14 @@ def cmd_stylize(parser, args) -> int:
 
 
 def cmd_compare_norms(parser, args) -> int:
-    from dataclasses import replace
-
-    from .errors import InputError
-    from .imageio import image_to_tensor, read_ppm, tensor_to_image, write_ppm
-    from .training import serialize_report, train
-
     try:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
     except ValueError:
         parser.error(f"--seeds must be a comma-separated list of integers, got {args.seeds!r}")
     if not seeds:
         parser.error("--seeds must name at least one seed")
+    if len(set(seeds)) != len(seeds):
+        parser.error(f"--seeds must not repeat a seed, got {args.seeds!r}")
 
     paths = _content_paths(args.content_dir)
     if len(paths) < 2:
@@ -188,10 +174,6 @@ def cmd_compare_norms(parser, args) -> int:
 
 
 def cmd_gradcheck(parser, args) -> int:
-    from math import isfinite
-
-    from .gradcheck import gradcheck
-
     if not isfinite(args.tol):
         raise InvalidArgument(f"--tol must be finite, got {args.tol}")
     report = gradcheck(args.subject, h=args.h)
@@ -250,7 +232,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](parser, args)
-    except (NormkitError, OSError) as exc:
+    # a size flag too large to allocate is an input error, not a failed check
+    except (NormkitError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, Diverged):
             return EXIT_DIVERGED

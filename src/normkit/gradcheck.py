@@ -95,14 +95,15 @@ def _check_generator(sample_count=20):
     z = RngStream(14).normal((1, 1, 8, 8))
     phi = FeatureExtractor.seeded()
     target = StyleTarget.from_style_image(phi, style)
+    content_feats = phi.content_features(content)
     g = build(GeneratorConfig(residual_blocks=1), RngStream(15))
 
     def f():
         y, _ = g.forward(content, z, mode="train")
-        return total_loss(target, phi, content, y)[0]
+        return total_loss(target, phi, y, content_feats)[0]
 
     y, caches = g.forward(content, z, mode="train")
-    _, grad_y = total_loss(target, phi, content, y)
+    _, grad_y = total_loss(target, phi, y, content_feats)
     grads = g.backward(grad_y, caches)
 
     params = g.parameters()

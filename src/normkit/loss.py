@@ -91,6 +91,10 @@ class FeatureExtractor:
         _, caches, outs = walk_forward(self.units[: max(at.values()) + 1], x, "train", at.values())
         return {tap: outs[i] for tap, i in at.items()}, caches
 
+    def content_features(self, x: Tensor4) -> Tensor4:
+        """The content-tap feature map of ``x``: the target of the content term."""
+        return self.forward(x)[0][self.content_tap]
+
     def backward(self, caches: list, tap_grads: dict[int, Tensor4]) -> Tensor4:
         """Backpropagate {tap: gradient} through the stack to the input."""
         at = self.tap_units
@@ -196,27 +200,14 @@ class StyleTarget:
 
 
 def total_loss(
-    target: StyleTarget,
-    phi: FeatureExtractor,
-    content: Tensor4,
-    output: Tensor4,
-    content_feats: Tensor4 | None = None,
+    target: StyleTarget, phi: FeatureExtractor, output: Tensor4, content_feats: Tensor4
 ) -> tuple[float, Tensor4]:
     """Weighted content + style loss and its exact gradient w.r.t. ``output``.
 
-    ``content_feats`` may carry the precomputed content-tap features of
-    ``content`` (they are deterministic, so callers in a training loop can
-    compute them once per image); passing them changes nothing numerically.
+    ``content_feats`` are the content image's :meth:`FeatureExtractor.content_features`;
+    they are deterministic, so a training loop computes them once per image.
     """
     require_tensor4(output, "output")
-    if content_feats is None:
-        require_tensor4(content, "content")
-        if content.shape != output.shape:
-            raise ShapeMismatch(
-                f"content shape {content.shape} != output shape {output.shape}"
-            )
-        content_feats = phi.forward(content)[0][phi.content_tap]
-
     feats_out, caches = phi.forward(output)
     tap_grads: dict[int, Tensor4] = {}
 

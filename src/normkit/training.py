@@ -26,7 +26,6 @@ from .loss import (
     StyleTarget,
     total_loss,
 )
-from .norms import DEFAULT_EPS
 from .tensor import RngStream
 
 STREAM_INIT = 0
@@ -34,8 +33,8 @@ STREAM_SHUFFLE = 1
 STREAM_NOISE = 2
 
 
-@dataclass
-class TrainConfig:
+@dataclass(kw_only=True)
+class TrainConfig(GeneratorConfig):
     style: str
     dataset: list[str]
     seed: int = 42
@@ -44,13 +43,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     alpha: float = DEFAULT_ALPHA
     beta: float = DEFAULT_BETA
-    norm_mode: str = "instance"
-    padding_mode: str = "reflect"
-    base_channels: int = 8
-    residual_blocks: int = 3
-    noise_channels: int = 1
-    eps: float = DEFAULT_EPS
-    affine: bool = False
     extractor_seed: int = DEFAULT_EXTRACTOR_SEED
     extractor_weights: str | None = None
     log_every: int = 10
@@ -68,10 +60,10 @@ class TrainConfig:
             raise InvalidArgument("log_every must be >= 1")
         if not self.dataset:
             raise InvalidArgument("dataset must name at least one content image")
-        self.generator_config()  # validates the generator fields before any file is read
+        super().__post_init__()  # validates the generator fields before any file is read
 
     def generator_config(self) -> GeneratorConfig:
-        # every GeneratorConfig field has a TrainConfig field of the same name
+        """The inherited generator fields alone, as a plain GeneratorConfig."""
         return GeneratorConfig(**{f.name: getattr(self, f.name) for f in fields(GeneratorConfig)})
 
 
@@ -198,7 +190,7 @@ def train(config: TrainConfig) -> tuple[Generator, RunReport]:
             )
         images.append(img)
     # content-tap features are constant per image; compute them once
-    content_feats = [phi.forward(img)[0][phi.content_tap] for img in images]
+    content_feats = [phi.content_features(img) for img in images]
 
     g = build(config.generator_config(), RngStream(config.seed, STREAM_INIT))
     params = g.parameters()
@@ -215,7 +207,7 @@ def train(config: TrainConfig) -> tuple[Generator, RunReport]:
         z = noise_rng.normal((x.shape[0], nz, x.shape[2], x.shape[3])) if nz > 0 else None
 
         y, caches = g.forward(x, z, mode="train")
-        loss, grad_y = total_loss(target, phi, None, y, content_feats=feats_c)
+        loss, grad_y = total_loss(target, phi, y, feats_c)
         if not np.isfinite(loss):
             raise Diverged(step, loss)
         report.losses.append(loss)

@@ -65,6 +65,15 @@ class TestUsageErrors:
                        "--out-dir", str(tmp_path), "--seeds", "")
         assert code == 2
 
+    def test_repeated_seed_exits_2_before_writing(self, dataset, tmp_path):
+        # a repeated seed would train twice and overwrite its own outputs
+        directory, _, style = dataset
+        out_dir = tmp_path / "cmp"
+        code = run_cli("compare-norms", "--style", style, "--content-dir", directory,
+                       "--out-dir", str(out_dir), "--seeds", "1,2,1", *TINY)
+        assert code == 2
+        assert not out_dir.exists()
+
     def test_gradcheck_unknown_subject(self):
         assert run_cli("gradcheck", "--subject", "nosuch") == 2
 
@@ -123,6 +132,18 @@ class TestTrainCommand:
         assert "step" not in captured.out
         assert str(out) in captured.err
         assert not [p for p in tmp_path.rglob("*") if p.is_file()]
+
+    @pytest.mark.parametrize("flag", ["--base-channels", "--noise-channels"])
+    def test_unallocatable_size_exits_3(self, dataset, tmp_path, capsys, flag):
+        # 10^12 channels ask for hundreds of TiB, past any address space, so the
+        # allocation fails at once without touching memory
+        directory, _, style = dataset
+        out = tmp_path / "gen.nrmk"
+        code = run_cli("train", "--style", style, "--content-dir", directory,
+                       "--out", str(out), flag, "1000000000000")
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not os.listdir(tmp_path)
 
     def test_bad_style_file(self, dataset, tmp_path):
         directory, _, _ = dataset
@@ -430,6 +451,30 @@ class TestMiscSurface:
                                 env=env)
         assert result.returncode == 0, result.stderr
         assert result.stdout.split() == ["1"] * len(blas_vars)
+
+    def test_thread_cap_precedes_numpy_import(self):
+        # the cap works only if numpy is first imported after it, whatever
+        # building the parser imports
+        import subprocess
+        import sys
+
+        env = child_env(NORMKIT_THREADS="1", OPENBLAS_NUM_THREADS="4")
+        code = "\n".join([
+            "import os, sys",
+            "seen = []",
+            "class Finder:",
+            "    def find_spec(self, name, path=None, target=None):",
+            "        if name == 'numpy' and not seen:",
+            "            seen.append(os.environ.get('OPENBLAS_NUM_THREADS'))",
+            "sys.meta_path.insert(0, Finder())",
+            "import normkit.cli",
+            "normkit.cli.build_parser()",
+            "print(*seen)",
+        ])
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env=env)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["1"]
 
     def test_thread_cap_keeps_output_bytes(self, dataset, tmp_path):
         # the README's claim: NORMKIT_THREADS bounds parallelism, never results

@@ -138,7 +138,7 @@ class TestTotalLoss:
     def test_global_minimum_is_zero(self, phi):
         x = smooth_image(10)
         target = StyleTarget.from_style_image(phi, x)
-        loss, grad = total_loss(target, phi, x, x.copy())
+        loss, grad = total_loss(target, phi, x.copy(), phi.content_features(x))
         assert loss == 0.0
         assert not grad.any()
 
@@ -146,12 +146,12 @@ class TestTotalLoss:
         style = smooth_image(11)
         target = StyleTarget.from_style_image(phi, style, alpha=0.0, beta=3.0)
         other = smooth_image(12)
-        loss, _ = total_loss(target, phi, other, style.copy())
+        loss, _ = total_loss(target, phi, style.copy(), phi.content_features(other))
         assert loss < 1e-20
 
     def test_loss_nonnegative(self, phi):
         target = StyleTarget.from_style_image(phi, smooth_image(13))
-        loss, _ = total_loss(target, phi, smooth_image(14), smooth_image(15))
+        loss, _ = total_loss(target, phi, smooth_image(15), phi.content_features(smooth_image(14)))
         assert loss >= 0.0
 
     def test_beta_linearity(self, phi):
@@ -160,17 +160,18 @@ class TestTotalLoss:
         output = smooth_image(18)
         t1 = StyleTarget.from_style_image(phi, style, alpha=0.0, beta=1.0)
         t2 = StyleTarget.from_style_image(phi, style, alpha=0.0, beta=2.0)
-        l1, _ = total_loss(t1, phi, content, output)
-        l2, _ = total_loss(t2, phi, content, output)
+        l1, _ = total_loss(t1, phi, output, phi.content_features(content))
+        l2, _ = total_loss(t2, phi, output, phi.content_features(content))
         assert l2 == pytest.approx(2.0 * l1, rel=1e-12)
 
     def test_batch_loss_is_mean_of_instance_losses(self, phi):
         target = StyleTarget.from_style_image(phi, smooth_image(19))
         content = np.concatenate([smooth_image(20), smooth_image(21)], axis=0)
         output = np.concatenate([smooth_image(22), smooth_image(23)], axis=0)
-        batch_loss, _ = total_loss(target, phi, content, output)
+        batch_loss, _ = total_loss(target, phi, output, phi.content_features(content))
         per = [
-            total_loss(target, phi, content[t : t + 1].copy(), output[t : t + 1].copy())[0]
+            total_loss(target, phi, output[t : t + 1].copy(),
+                       phi.content_features(content[t : t + 1].copy()))[0]
             for t in range(2)
         ]
         assert batch_loss == pytest.approx(sum(per) / 2.0, rel=1e-12)
@@ -178,18 +179,20 @@ class TestTotalLoss:
     def test_shape_mismatch_rejected(self, phi):
         target = StyleTarget.from_style_image(phi, smooth_image(24))
         with pytest.raises(ShapeMismatch):
-            total_loss(target, phi, smooth_image(25, 32), smooth_image(26, 16))
+            total_loss(target, phi, smooth_image(26, 16),
+                       phi.content_features(smooth_image(25, 32)))
 
     def test_gradient_matches_finite_differences(self, phi):
         style = smooth_image(27, 16)
         content = smooth_image(28, 16)
         output = smooth_image(29, 16)
         target = StyleTarget.from_style_image(phi, style)
+        content_feats = phi.content_features(content)
 
         def f():
-            return total_loss(target, phi, content, output)[0]
+            return total_loss(target, phi, output, content_feats)[0]
 
-        _, grad = total_loss(target, phi, content, output)
+        _, grad = total_loss(target, phi, output, content_feats)
         numeric = fd_grad(f, output)
         assert max_rel_err(grad, numeric) < 1e-5
 
@@ -226,8 +229,8 @@ class TestFeaturesBackward:
         assert np.isnan(poisoned.to_entries()["block4.w"]).all()
         style, content, output = smooth_image(32, 16), smooth_image(33, 16), smooth_image(34, 16)
         target = StyleTarget.from_style_image(phi, style)
-        loss, grad = total_loss(target, phi, content, output)
-        loss_p, grad_p = total_loss(target, poisoned, content, output)
+        loss, grad = total_loss(target, phi, output, phi.content_features(content))
+        loss_p, grad_p = total_loss(target, poisoned, output, poisoned.content_features(content))
         assert np.isfinite(loss_p) and np.isfinite(grad_p).all()
         assert loss_p == loss
         assert np.array_equal(grad_p, grad)

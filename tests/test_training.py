@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from helpers import traced_peak, write_fixture
@@ -149,7 +151,7 @@ class TestTrain:
         per_instance = []
         for row, i in enumerate(idx):
             y, _ = g.forward(images[i], z[row : row + 1].copy(), mode="train")
-            per_instance.append(total_loss(target, phi, images[i], y)[0])
+            per_instance.append(total_loss(target, phi, y, phi.content_features(images[i]))[0])
         assert report.losses[0] == pytest.approx(sum(per_instance) / 2.0, rel=1e-12)
 
     @pytest.mark.parametrize("padding_mode", ["zero", "reflect"])
@@ -239,6 +241,9 @@ class TestTrain:
             tiny_config(paths, style, batch_size=0)
         with pytest.raises(InvalidArgument):
             tiny_config([], style)
+        # no flag reaches eps, so only this case shows the generator's checks still run
+        with pytest.raises(InvalidArgument):
+            tiny_config(paths, style, eps=-1.0)
 
 
 class TestReport:
@@ -272,7 +277,7 @@ class TestReport:
         paths, style = dataset
         config = tiny_config(paths, style)
         keys = [k for k, _ in config_echo(config)]
-        assert "seed" in keys and "dataset" in keys and "learning_rate" in keys
+        assert keys == [f.name for f in fields(TrainConfig)] + ["rng_algorithm"]
 
     def test_checksum_tracks_parameters(self, dataset):
         paths, style = dataset
