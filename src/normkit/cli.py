@@ -32,7 +32,7 @@ _apply_thread_cap()
 from .errors import Diverged, InputError, InvalidArgument, NormkitError  # noqa: E402
 from .generator import NORM_MODES, Generator  # noqa: E402
 from .gradcheck import gradcheck  # noqa: E402
-from .imageio import image_to_tensor, read_ppm, tensor_to_image, write_ppm  # noqa: E402
+from .imageio import read_ppm, write_ppm  # noqa: E402
 from .layers import PADDING_MODES  # noqa: E402
 from .tensor import RngStream  # noqa: E402
 from .training import STREAM_NOISE, TrainConfig, serialize_report, train  # noqa: E402
@@ -65,7 +65,6 @@ def _add_train_flags(parser, with_out=True):
     parser.add_argument("--affine", action="store_true", help="learnable scale/shift after norms")
     parser.add_argument("--extractor-seed", type=int)
     parser.add_argument("--extractor-weights", help="load loss features from a weight file")
-    parser.add_argument("--log-every", type=int)
 
 
 def _content_paths(directory):
@@ -84,6 +83,8 @@ def _train_config(args, dataset):
 
 
 def cmd_train(parser, args) -> int:
+    if args.log_every < 1:
+        parser.error(f"--log-every must be >= 1, got {args.log_every}")
     config = _train_config(args, _content_paths(args.content_dir))
     # fail before training, not after the last step
     if os.path.isdir(args.out):
@@ -92,7 +93,7 @@ def cmd_train(parser, args) -> int:
         raise InputError(f"the directory of --out {args.out!r} does not exist")
     generator, report = train(config)
     for i, value in enumerate(report.losses, 1):
-        if i == 1 or i == len(report.losses) or i % config.log_every == 0:
+        if i == 1 or i == len(report.losses) or i % args.log_every == 0:
             print(f"step {i} loss {value!r}")
     generator.save(args.out)
     with open(args.out + ".log", "w") as fh:
@@ -113,10 +114,8 @@ def _stylize_tensor(generator, content, seed):
 
 def cmd_stylize(parser, args) -> int:
     generator = Generator.load(args.weights)
-    img = read_ppm(args.input)
-    content = image_to_tensor(img)
-    y = _stylize_tensor(generator, content, args.seed)
-    write_ppm(args.output, tensor_to_image(y))
+    y = _stylize_tensor(generator, read_ppm(args.input), args.seed)
+    write_ppm(args.output, y)
     print(f"wrote {args.output}", file=sys.stderr)
     return EXIT_OK
 
@@ -134,14 +133,15 @@ def cmd_compare_norms(parser, args) -> int:
     paths = _content_paths(args.content_dir)
     if len(paths) < 2:
         raise InputError("compare-norms needs >= 2 content images (one is held out)")
+    if os.path.realpath(args.style) in map(os.path.realpath, paths):
+        raise InputError(f"--style {args.style!r} is also a content image")
     train_paths, held_out = paths[:-1], paths[-1]
-    held_img = read_ppm(held_out)
-    if held_img.width % 4 or held_img.height % 4:
+    held = read_ppm(held_out)
+    if held.shape[2] % 4 or held.shape[3] % 4:
         raise InputError(
-            f"held-out image {held_out!r} is {held_img.width}x{held_img.height}; "
+            f"held-out image {held_out!r} is {held.shape[2]}x{held.shape[3]}; "
             "dimensions must be divisible by 4"
         )
-    held_tensor = image_to_tensor(held_img)
     # a bad flag must fail before any output exists
     base_config = _train_config(args, train_paths)
 
@@ -154,10 +154,8 @@ def cmd_compare_norms(parser, args) -> int:
             generator, report = train(config)
             with open(os.path.join(args.out_dir, f"seed{seed}_{mode}.log"), "w") as fh:
                 fh.write(serialize_report(report))
-            styled = _stylize_tensor(generator, held_tensor, seed)
-            write_ppm(
-                os.path.join(args.out_dir, f"seed{seed}_{mode}.ppm"), tensor_to_image(styled)
-            )
+            styled = _stylize_tensor(generator, held, seed)
+            write_ppm(os.path.join(args.out_dir, f"seed{seed}_{mode}.ppm"), styled)
             finals[mode] = report.losses[-1]
         rows.append((seed, finals["batch"], finals["instance"]))
         print(
@@ -196,6 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
         "train", help="train a stylization generator", argument_default=argparse.SUPPRESS
     )
     _add_train_flags(p_train)
+    p_train.add_argument("--log-every", type=int, default=10, help="print every n-th step's loss")
 
     p_sty = sub.add_parser("stylize", help="apply trained weights to an image")
     p_sty.add_argument("--weights", required=True)

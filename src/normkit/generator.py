@@ -316,17 +316,15 @@ class Generator:
     # -- persistence ------------------------------------------------------
 
     # the file stores every GeneratorConfig field as a scalar "meta.<field>";
-    # the string fields as codes
-    _CODES = {
-        "norm_mode": {"none": 0.0, "batch": 1.0, "instance": 2.0},
-        "padding_mode": {"zero": 0.0, "reflect": 1.0},
-    }
+    # a string field as its index in the mode tuple, so tuple order is file
+    # format: a new mode goes at the end
+    _CODES = {"norm_mode": NORM_MODES, "padding_mode": PADDING_MODES}
 
     def to_entries(self) -> dict[str, np.ndarray]:
         entries = {"meta.kind": weightfile.scalar_entry(1.0)}  # 1 = generator
         for f in fields(GeneratorConfig):
             value = getattr(self.config, f.name)
-            value = self._CODES[f.name][value] if f.name in self._CODES else value
+            value = self._CODES[f.name].index(value) if f.name in self._CODES else value
             entries[f"meta.{f.name}"] = weightfile.scalar_entry(value)
         for name, value in self.parameters().items():
             entries[name] = value if value.ndim == 4 else value.reshape(1, len(value), 1, 1)
@@ -345,7 +343,7 @@ class Generator:
         for f in fields(GeneratorConfig):
             name = f"meta.{f.name}"
             value = float(weightfile.entry(entries, name).ravel()[0])
-            codes = {v: k for k, v in cls._CODES.get(f.name, {}).items()}
+            codes = dict(enumerate(cls._CODES.get(f.name, ())))
             try:
                 decoded = codes.get(value, value) if codes else type(getattr(config, f.name))(value)
                 config = replace(config, **{f.name: decoded})

@@ -1,43 +1,24 @@
-"""Binary PPM (P6) image codec and image <-> tensor conversion.
+"""Binary PPM (P6) codec for (1, 3, W, H) tensors.
 
-The writer emits exactly ``P6\\n<w> <h>\\n255\\n`` followed by the RGB
-payload. The reader is liberal in what it accepts: arbitrary whitespace
-between header tokens and ``#`` comments wherever whitespace may appear,
-except that exactly one whitespace byte follows maxval. Header numbers are
-ASCII decimal digits, and only maxval 255 is supported.
+The reader returns the 8-bit RGB payload (row-major from the top-left
+corner) as a (1, 3, W, H) float64 tensor of value/255. It is liberal in
+what it accepts: arbitrary whitespace between header tokens and ``#``
+comments wherever whitespace may appear, except that exactly one
+whitespace byte follows maxval. Header numbers are ASCII decimal digits,
+and only maxval 255 is supported.
 
-Images convert to (1, 3, W, H) tensors by value/255 and back by
-round(clamp(v, 0, 1) * 255).
+The writer quantizes each value by round(clamp(v, 0, 1) * 255) and emits
+exactly ``P6\\n<w> <h>\\n255\\n`` followed by the RGB payload.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import FormatError, InvalidArgument, InvalidShape
+from .errors import FormatError, InputError, InvalidArgument, InvalidShape
 from .tensor import Tensor4, require_tensor4
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
-
-
-@dataclass
-class ImageRGB:
-    """8-bit RGB image; ``pixels`` is row-major from the top-left corner."""
-
-    width: int
-    height: int
-    pixels: bytes
-
-    def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise InvalidShape(f"image dims must be positive, got {self.width}x{self.height}")
-        if len(self.pixels) != self.width * self.height * 3:
-            raise InvalidShape(
-                f"pixel payload has {len(self.pixels)} bytes, "
-                f"expected {self.width * self.height * 3}"
-            )
 
 
 def _next_token(blob: bytes, off: int) -> tuple[bytes, int]:
@@ -59,9 +40,13 @@ def _next_token(blob: bytes, off: int) -> tuple[bytes, int]:
     return blob[start:off], off
 
 
-def read_ppm(path: str) -> ImageRGB:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+def read_ppm(path: str) -> Tensor4:
+    """(1, 3, W, H) float64 tensor with values in [0, 1]."""
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise InputError(f"cannot read image {path!r}: {exc}")
     magic, off = _next_token(blob, 0)
     if magic != b"P6":
         raise FormatError(f"bad magic {magic!r}, expected b'P6'", offset=0)
@@ -89,29 +74,18 @@ def read_ppm(path: str) -> ImageRGB:
         raise FormatError(
             f"truncated payload: expected {need} bytes, got {len(payload)}", offset=off
         )
-    return ImageRGB(width=width, height=height, pixels=bytes(payload))
-
-
-def write_ppm(path: str, img: ImageRGB) -> None:
-    header = f"P6\n{img.width} {img.height}\n255\n".encode("ascii")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(img.pixels)
-
-
-def image_to_tensor(img: ImageRGB) -> Tensor4:
-    """(1, 3, W, H) float64 tensor with values in [0, 1]."""
-    arr = np.frombuffer(img.pixels, dtype=np.uint8).reshape(img.height, img.width, 3)
+    arr = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
     return arr.transpose(2, 1, 0).astype(np.float64)[None] / 255.0
 
 
-def tensor_to_image(t: Tensor4) -> ImageRGB:
-    """Quantize a (1, 3, W, H) tensor back to 8-bit RGB."""
+def write_ppm(path: str, t: Tensor4) -> None:
+    """Quantize a (1, 3, W, H) tensor to 8-bit RGB and write it as a PPM."""
     require_tensor4(t, "t")
     if t.shape[0] != 1 or t.shape[1] != 3:
         raise InvalidShape(f"expected a (1, 3, W, H) tensor, got {t.shape}")
     if not np.all(np.isfinite(t)):
         raise InvalidArgument("tensor contains non-finite values")
     quant = np.rint(np.clip(t[0], 0.0, 1.0) * 255.0).astype(np.uint8)
-    pixels = quant.transpose(2, 1, 0).tobytes()
-    return ImageRGB(width=t.shape[2], height=t.shape[3], pixels=pixels)
+    with open(path, "wb") as fh:
+        fh.write(f"P6\n{t.shape[2]} {t.shape[3]}\n255\n".encode("ascii"))
+        fh.write(quant.transpose(2, 1, 0).tobytes())

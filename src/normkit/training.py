@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import Diverged, InputError, InvalidArgument, ShapeMismatch
 from .generator import Generator, GeneratorConfig, build
-from .imageio import image_to_tensor, read_ppm
+from .imageio import read_ppm
 from .loss import (
     DEFAULT_ALPHA,
     DEFAULT_BETA,
@@ -45,7 +45,6 @@ class TrainConfig(GeneratorConfig):
     beta: float = DEFAULT_BETA
     extractor_seed: int = DEFAULT_EXTRACTOR_SEED
     extractor_weights: str | None = None
-    log_every: int = 10
 
     def __post_init__(self):
         if not np.all(np.isfinite([self.learning_rate, self.alpha, self.beta])):
@@ -56,8 +55,6 @@ class TrainConfig(GeneratorConfig):
             raise InvalidArgument("batch_size must be >= 1")
         if self.learning_rate < 0:
             raise InvalidArgument("learning_rate must be >= 0 (0 = measure-only run)")
-        if self.log_every < 1:
-            raise InvalidArgument("log_every must be >= 1")
         if not self.dataset:
             raise InvalidArgument("dataset must name at least one content image")
         super().__post_init__()  # validates the generator fields before any file is read
@@ -147,14 +144,6 @@ def parameter_checksum(params: dict[str, np.ndarray]) -> str:
     return digest.hexdigest()
 
 
-def load_image_tensor(path: str):
-    try:
-        img = read_ppm(path)
-    except OSError as exc:
-        raise InputError(f"cannot read image {path!r}: {exc}")
-    return image_to_tensor(img)
-
-
 def load_extractor(config: TrainConfig) -> FeatureExtractor:
     if config.extractor_weights is not None:
         return FeatureExtractor.load(config.extractor_weights)
@@ -177,12 +166,12 @@ def train(config: TrainConfig) -> tuple[Generator, RunReport]:
     """Minimize the batch-mean perceptual loss over the generator parameters."""
     started = time.perf_counter()
     phi = load_extractor(config)
-    style = load_image_tensor(config.style)
+    style = read_ppm(config.style)
     target = StyleTarget.from_style_image(phi, style, alpha=config.alpha, beta=config.beta)
 
     images = []
     for path in config.dataset:
-        img = load_image_tensor(path)
+        img = read_ppm(path)
         if images and img.shape != images[0].shape:
             raise InputError(
                 f"content image {path!r} has shape {img.shape[2:]}, "

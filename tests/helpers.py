@@ -148,8 +148,7 @@ STYLE_SPEC = (500, 1.0, 0.0)
 
 
 def make_fixture_image(seed, size=32, gain=1.0, offset=0.0):
-    """Smooth seeded image with a chosen brightness/contrast envelope."""
-    from normkit.imageio import tensor_to_image
+    """Smooth seeded (1, 3, size, size) image with a chosen brightness/contrast envelope."""
     from normkit.tensor import RngStream
 
     rng = RngStream(seed)
@@ -157,17 +156,19 @@ def make_fixture_image(seed, size=32, gain=1.0, offset=0.0):
     for _ in range(3):
         x = 0.5 * x + 0.25 * np.roll(x, 1, axis=2) + 0.25 * np.roll(x, 1, axis=3)
     x = (x - x.min()) / (x.max() - x.min())
-    x = np.clip(gain * x + offset, 0.0, 1.0)
-    return tensor_to_image(x)
+    return np.clip(gain * x + offset, 0.0, 1.0)
 
 
 def write_fixture(directory, size=32):
-    """Write the canonical dataset; returns (content paths, style path)."""
+    """Write the canonical dataset: the content images into ``<directory>/content/``,
+    the style image beside that directory, so no command trains on or holds out
+    the style image. Returns (content paths, style path)."""
     from normkit.imageio import write_ppm
 
+    os.mkdir(os.path.join(directory, "content"))
     paths = []
     for i, (seed, gain, offset) in enumerate(CONTENT_SPECS):
-        path = os.path.join(directory, f"content{i}.ppm")
+        path = os.path.join(directory, "content", f"content{i}.ppm")
         write_ppm(path, make_fixture_image(seed, size=size, gain=gain, offset=offset))
         paths.append(path)
     style = os.path.join(directory, "style.ppm")

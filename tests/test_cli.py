@@ -20,9 +20,8 @@ def run_cli(*argv):
 
 @pytest.fixture(scope="module")
 def dataset(tmp_path_factory):
-    directory = tmp_path_factory.mktemp("cli_fixture")
-    paths, style = write_fixture(str(directory))
-    return str(directory), paths, style
+    paths, style = write_fixture(str(tmp_path_factory.mktemp("cli_fixture")))
+    return os.path.dirname(paths[0]), paths, style
 
 
 TINY = ["--steps", "3", "--batch-size", "2", "--base-channels", "4", "--residual-blocks", "1"]
@@ -71,6 +70,22 @@ class TestUsageErrors:
         out_dir = tmp_path / "cmp"
         code = run_cli("compare-norms", "--style", style, "--content-dir", directory,
                        "--out-dir", str(out_dir), "--seeds", "1,2,1", *TINY)
+        assert code == 2
+        assert not out_dir.exists()
+
+    def test_log_every_zero_exits_2_before_writing(self, dataset, tmp_path):
+        directory, _, style = dataset
+        code = run_cli("train", "--style", style, "--content-dir", directory,
+                       "--out", str(tmp_path / "w.nrmk"), "--log-every", "0", *TINY)
+        assert code == 2
+        assert not os.listdir(tmp_path)
+
+    def test_log_every_is_train_only(self, dataset, tmp_path):
+        # it thins train's stdout; compare-norms prints one line per seed
+        directory, _, style = dataset
+        out_dir = tmp_path / "cmp"
+        code = run_cli("compare-norms", "--style", style, "--content-dir", directory,
+                       "--out-dir", str(out_dir), "--seeds", "1", "--log-every", "5", *TINY)
         assert code == 2
         assert not out_dir.exists()
 
@@ -218,8 +233,7 @@ class TestStylizeCommand:
         out = str(tmp_path / "styled.ppm")
         assert run_cli("stylize", "--weights", weights, "--input", paths[0],
                        "--output", out) == 0
-        img = read_ppm(out)
-        assert (img.width, img.height) == (32, 32)
+        assert read_ppm(out).shape == (1, 3, 32, 32)
 
     def test_rerun_byte_identical(self, weights, dataset, tmp_path):
         _, paths, _ = dataset
@@ -240,11 +254,7 @@ class TestStylizeCommand:
 
     def test_non_divisible_dims_exit_3(self, weights, tmp_path, capsys):
         bad = str(tmp_path / "odd.ppm")
-        img = make_fixture_image(3, size=32)
-        from normkit.imageio import ImageRGB
-
-        cropped = ImageRGB(width=30, height=30, pixels=bytes(30 * 30 * 3))
-        write_ppm(bad, cropped)
+        write_ppm(bad, np.zeros((1, 3, 30, 30)))
         code = run_cli("stylize", "--weights", weights, "--input", bad,
                        "--output", str(tmp_path / "x.ppm"))
         assert code == 3
@@ -266,7 +276,7 @@ class TestStylizeCommand:
         dst = str(tmp_path / "bn_styled.ppm")
         assert run_cli("stylize", "--weights", out, "--input", paths[0],
                        "--output", dst) == 0
-        assert read_ppm(dst).width == 32
+        assert read_ppm(dst).shape == (1, 3, 32, 32)
 
     def test_uncalibrated_batch_norm_weights_exit_3(self, dataset, tmp_path):
         from normkit.generator import GeneratorConfig, build
@@ -406,6 +416,18 @@ class TestCompareNormsCommand:
         code = run_cli("compare-norms", "--style", style, "--content-dir", directory,
                        "--out-dir", str(out_dir), "--seeds", "1", "--lr", "nan")
         assert code == 2
+        assert not out_dir.exists()
+
+    def test_style_among_content_images_exits_3_before_writing(self, dataset, tmp_path, capsys):
+        # else the style image is trained on and, sorted last, held out;
+        # paths are compared after resolving, so a spelling does not hide it
+        directory, paths, _ = dataset
+        style = os.path.join(directory, os.pardir, "content", os.path.basename(paths[-1]))
+        out_dir = tmp_path / "cmp"
+        code = run_cli("compare-norms", "--style", style, "--content-dir", directory,
+                       "--out-dir", str(out_dir), "--seeds", "1", *TINY)
+        assert code == 3
+        assert "is also a content image" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_single_content_image_rejected(self, dataset, tmp_path):

@@ -364,6 +364,17 @@ class TestPersistence:
             with pytest.raises(FormatError, match=name):
                 Generator.from_entries(flip_bit(entries, name, bit))
 
+    @pytest.mark.parametrize("field,value,code", [
+        ("norm_mode", "none", 0), ("norm_mode", "batch", 1), ("norm_mode", "instance", 2),
+        ("padding_mode", "zero", 0), ("padding_mode", "reflect", 1),
+    ])
+    def test_mode_codes_are_file_format(self, field, value, code):
+        # files already written hold these codes, so no mode tuple may be reordered
+        config = GeneratorConfig(residual_blocks=1, **{field: value})
+        entries = build(config, RngStream(34)).to_entries()
+        assert entries[f"meta.{field}"].ravel()[0] == code
+        assert Generator.from_entries(entries).config == config
+
     def test_unexpected_entry_rejected(self):
         entries = build(GeneratorConfig(residual_blocks=1), RngStream(33)).to_entries()
         entries["extra.w"] = np.zeros((1, 1, 1, 1))

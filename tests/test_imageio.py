@@ -1,49 +1,67 @@
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 from helpers import make_fixture_image
+from hypothesis import given
+from hypothesis import strategies as st
 
-from normkit.errors import FormatError, InvalidShape
-from normkit.imageio import ImageRGB, image_to_tensor, read_ppm, tensor_to_image, write_ppm
+from normkit.errors import FormatError, InputError, InvalidShape
+from normkit.imageio import read_ppm, write_ppm
 from normkit.tensor import RngStream
 
 
-def random_image(seed, w, h):
+def random_pixels(seed, w, h):
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-    raw = rng.integers(0, 256, size=w * h * 3, dtype=np.uint8)
-    return ImageRGB(width=w, height=h, pixels=raw.tobytes())
+    return rng.integers(0, 256, size=w * h * 3, dtype=np.uint8).tobytes()
+
+
+def write_raw(path, w, h, pixels):
+    Path(path).write_bytes(f"P6\n{w} {h}\n255\n".encode("ascii") + pixels)
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    # hypothesis rejects function-scoped fixtures such as tmp_path
+    return tmp_path_factory.mktemp("ppm")
 
 
 class TestPpmRoundTrip:
-    @pytest.mark.parametrize("w,h", [(1, 1), (2, 2), (7, 3), (32, 32)])
-    def test_write_read_identical(self, tmp_path, w, h):
-        img = random_image(w * 100 + h, w, h)
-        path = str(tmp_path / "img.ppm")
-        write_ppm(path, img)
-        back = read_ppm(path)
-        assert (back.width, back.height) == (w, h)
-        assert back.pixels == img.pixels
+    @given(w=st.integers(1, 16), h=st.integers(1, 16), data=st.data())
+    def test_write_read_identical(self, scratch, w, h, data):
+        pixels = data.draw(st.binary(min_size=w * h * 3, max_size=w * h * 3))
+        src, dst = str(scratch / "src.ppm"), str(scratch / "dst.ppm")
+        write_raw(src, w, h, pixels)
+        t = read_ppm(src)
+        assert t.dtype == np.float64 and t.shape == (1, 3, w, h)
+        # payload byte (y*w + x)*3 + c is channel c of the pixel at column x, row y
+        expected = [[[pixels[(y * w + x) * 3 + c] / 255.0 for y in range(h)]
+                     for x in range(w)] for c in range(3)]
+        assert np.array_equal(t[0], expected)
+        write_ppm(dst, t)
+        assert Path(dst).read_bytes() == Path(src).read_bytes()
 
     def test_exact_header_bytes(self, tmp_path):
-        img = random_image(5, 2, 2)
-        path = str(tmp_path / "img.ppm")
-        write_ppm(path, img)
+        pixels = random_pixels(5, 2, 2)
+        src, path = str(tmp_path / "src.ppm"), str(tmp_path / "img.ppm")
+        write_raw(src, 2, 2, pixels)
+        write_ppm(path, read_ppm(src))
         blob = Path(path).read_bytes()
         assert blob[:9] == b"P6\n2 2\n255\n"[:9]
-        assert blob == b"P6\n2 2\n255\n" + img.pixels
+        assert blob == b"P6\n2 2\n255\n" + pixels
         assert len(blob) == 11 + 12
 
 
 class TestPpmReader:
     def test_accepts_comments_and_whitespace(self, tmp_path):
-        img = random_image(6, 3, 2)
-        path = str(tmp_path / "img.ppm")
+        pixels = random_pixels(6, 3, 2)
+        plain, path = str(tmp_path / "plain.ppm"), str(tmp_path / "img.ppm")
+        write_raw(plain, 3, 2, pixels)
         with open(path, "wb") as fh:
             fh.write(b"P6 # a comment\n# another line\n  3\t2 # dims\n255\n")
-            fh.write(img.pixels)
-        back = read_ppm(path)
-        assert back.pixels == img.pixels
+            fh.write(pixels)
+        assert np.array_equal(read_ppm(path), read_ppm(plain))
 
     def test_non_whitespace_after_maxval_rejected(self, tmp_path):
         path = str(tmp_path / "img.ppm")
@@ -81,32 +99,45 @@ class TestPpmReader:
                 read_ppm(path)
             assert info.value.offset == offset, header
 
+    @pytest.mark.parametrize("where", ["missing", "directory"])
+    def test_unreadable_file_names_path(self, tmp_path, where):
+        path = str(tmp_path / "void.ppm") if where == "missing" else str(tmp_path)
+        with pytest.raises(InputError, match="cannot read image") as info:
+            read_ppm(path)
+        assert repr(path) in str(info.value)
+
 
 class TestTensorConversion:
-    def test_round_trip_within_quantization(self):
+    def test_round_trip_within_quantization(self, tmp_path):
         t = RngStream(9).uniform((1, 3, 8, 6))
-        img = tensor_to_image(t)
-        back = image_to_tensor(img)
+        path = str(tmp_path / "img.ppm")
+        write_ppm(path, t)
+        back = read_ppm(path)
         assert back.shape == t.shape
         assert np.max(np.abs(back - t)) < 1.0 / 255.0
 
-    def test_image_tensor_image_exact(self):
-        img = random_image(11, 5, 4)
-        again = tensor_to_image(image_to_tensor(img))
-        assert again.pixels == img.pixels
+    def test_image_tensor_image_exact(self, tmp_path):
+        src, again = str(tmp_path / "src.ppm"), str(tmp_path / "again.ppm")
+        write_raw(src, 5, 4, random_pixels(11, 5, 4))
+        t = read_ppm(src)
+        write_ppm(again, t)
+        assert np.array_equal(read_ppm(again), t)
 
-    def test_quantization_rule(self):
+    def test_quantization_rule(self, tmp_path):
         t = np.zeros((1, 3, 1, 1))
         t[0, :, 0, 0] = [-0.5, 0.5, 1.7]  # clamp then round
-        img = tensor_to_image(t)
-        assert list(img.pixels) == [0, 128, 255]
+        path = str(tmp_path / "img.ppm")
+        write_ppm(path, t)
+        assert list(Path(path).read_bytes()[-3:]) == [0, 128, 255]
 
-    def test_rejects_batch(self):
+    def test_rejects_batch(self, tmp_path):
+        # the tensor is checked before the file is opened
+        path = str(tmp_path / "img.ppm")
         with pytest.raises(InvalidShape):
-            tensor_to_image(RngStream(1).uniform((2, 3, 4, 4)))
+            write_ppm(path, RngStream(1).uniform((2, 3, 4, 4)))
+        assert not os.path.exists(path)
 
     def test_fixture_images_are_valid(self, tmp_path):
         img = make_fixture_image(100, gain=0.55, offset=0.1)
-        assert img.width == img.height == 32
-        vals = np.frombuffer(img.pixels, dtype=np.uint8)
-        assert vals.min() >= 0 and vals.max() <= 255
+        assert img.shape == (1, 3, 32, 32)
+        assert img.min() >= 0.0 and img.max() <= 1.0

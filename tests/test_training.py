@@ -6,6 +6,7 @@ from helpers import traced_peak, write_fixture
 
 from normkit.errors import Diverged, InputError, InvalidArgument, ShapeMismatch
 from normkit.generator import build
+from normkit.imageio import read_ppm
 from normkit.loss import FeatureExtractor, StyleTarget, total_loss
 from normkit.tensor import RngStream
 from normkit.training import (
@@ -17,7 +18,6 @@ from normkit.training import (
     _batches,
     adam_step,
     config_echo,
-    load_image_tensor,
     parameter_checksum,
     serialize_report,
     train,
@@ -141,9 +141,9 @@ class TestTrain:
         _, report = train(config)
 
         phi = FeatureExtractor.seeded(config.extractor_seed)
-        style_t = load_image_tensor(style)
+        style_t = read_ppm(style)
         target = StyleTarget.from_style_image(phi, style_t, alpha=config.alpha, beta=config.beta)
-        images = [load_image_tensor(p) for p in config.dataset]
+        images = [read_ppm(p) for p in config.dataset]
         g = build(config.generator_config(), RngStream(config.seed, STREAM_INIT))
         idx = next(_batches(2, 2, RngStream(config.seed, STREAM_SHUFFLE)))
         z = RngStream(config.seed, STREAM_NOISE).normal((2, 1, 32, 32))
@@ -167,7 +167,7 @@ class TestTrain:
         assert r_bn.losses == r_in.losses
         assert r_bn.param_checksum == r_in.param_checksum
 
-        x = load_image_tensor(paths[-1])
+        x = read_ppm(paths[-1])
         z = RngStream(3).normal((1, 1, 32, 32))
         y_in = g_in.forward(x, z, mode="eval")[0]
         assert not np.array_equal(g_bn.forward(x, z, mode="eval")[0], y_in)
